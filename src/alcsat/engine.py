@@ -28,13 +28,17 @@ spawns an independent child.
 A member is clashed when it contains the empty clause or two
 complementary unit clauses; any clashed member prunes the whole node.
 An empty member (no clauses) is trivially satisfiable, never a clash.
+The search checks only the members a step changed (the rewritten
+member, and for A3 the appended one): the parent was clash-free, and
+every other member is the parent's own value.
 
 Termination is witnessed by an executable measure: members are stratified
 by maximum quantifier nesting depth, and per stratum the triple
 (universal-literal occurrences, sum of clause sizes beyond one,
 existential-unit count) is summed.  Comparing strata deepest-first, every
 rule application strictly decreases the measure; :func:`decide_sat`
-asserts this at each step.
+asserts this at each step, computing each node's measure once and
+carrying it down as the parent measure of the next step.
 
 ``decide_sat`` is a self-contained computation over immutable snapshots;
 concurrent calls are safe and a run's trace is a deterministic function
@@ -56,7 +60,6 @@ from alcsat.normal_form import (
     Literal,
     Neg,
     Pos,
-    canonicalize,
     clause_to_concept,
     clause_to_json,
     clause_from_json,
@@ -204,18 +207,23 @@ def is_clash(f: ClauseSet, *, role_complements: bool = True) -> bool:
     ``role_complements=False`` only name pairs count, which may delay but
     never change verdicts (the pair is refuted by A2 and A3 in a child).
     """
-    units = []
-    for c in f:
-        if c.is_empty:
+    positive, negative, quantified = set(), set(), set()
+    for c in f.clauses:
+        lits = c.literals
+        if not lits:
             return True
-        if c.is_unit:
-            units.append(c.literals[0])
-    unit_set = set(units)
-    for lit in units:
-        if not role_complements and not isinstance(lit, (Pos, Neg)):
-            continue
-        if complement(lit) in unit_set:
-            return True
+        if len(lits) == 1:
+            lit = lits[0]
+            if isinstance(lit, Pos):
+                positive.add(lit.name)
+            elif isinstance(lit, Neg):
+                negative.add(lit.name)
+            else:
+                quantified.add(lit)
+    if not positive.isdisjoint(negative):
+        return True
+    if role_complements:
+        return any(complement(lit) in quantified for lit in quantified)
     return False
 
 
@@ -336,14 +344,8 @@ class Verdict:
 # --- Termination measure --------------------------------------------------
 
 
-def _literal_depth(lit: Literal) -> int:
-    if isinstance(lit, (Pos, Neg)):
-        return 0
-    return 1 + _clause_set_depth(lit.body)
-
-
 def _clause_set_depth(f: ClauseSet) -> int:
-    return max((_literal_depth(l) for c in f for l in c), default=0)
+    return f.depth
 
 
 def family_measure(fam: Family, depth_bound: int) -> tuple:
@@ -352,15 +354,18 @@ def family_measure(fam: Family, depth_bound: int) -> tuple:
     (universal occurrences, excess clause width, existential units)."""
     strata = [[0, 0, 0] for _ in range(depth_bound + 1)]
     for m in fam.members:
-        d = _clause_set_depth(m)
+        d = m.depth
         if d > depth_bound:
             raise ValueError("member exceeds the run's depth bound")
         row = strata[d]
-        for c in m:
-            row[0] += sum(1 for l in c if isinstance(l, ForallLit))
-            if len(c) >= 2:
-                row[1] += len(c) - 1
-            elif c.is_unit and isinstance(c.literals[0], ExistsLit):
+        for c in m.clauses:
+            lits = c.literals
+            for l in lits:
+                if isinstance(l, ForallLit):
+                    row[0] += 1
+            if len(lits) >= 2:
+                row[1] += len(lits) - 1
+            elif lits and isinstance(lits[0], ExistsLit):
                 row[2] += 1
     return tuple(tuple(strata[d]) for d in range(depth_bound, -1, -1))
 
@@ -436,16 +441,23 @@ def decide_sat(
     Raises :class:`ResourceLimitError` once more than ``max_nodes``
     families have been materialized.
     """
-    root = Family((canonicalize(f),))
+    root = Family((f,))
     tree = DerivationTree(nodes=[root])
-    depth_bound = max(_clause_set_depth(m) for m in root.members)
+    depth_bound = f.depth
     max_depth_seen = 0
 
-    def explore(node_id: int, fam: Family, depth: int) -> Optional[int]:
+    def explore(
+        node_id: int, fam: Family, depth: int, changed: tuple[int, ...], measure: tuple
+    ) -> Optional[int]:
+        # ``changed``: the members this node's step rewrote or appended.
+        # The parent was clash-free and every other member is the
+        # parent's own value, so only these can clash.
         nonlocal max_depth_seen
         max_depth_seen = max(max_depth_seen, depth)
+        members = fam.members
         if any(
-            is_clash(m, role_complements=role_complement_clash) for m in fam.members
+            is_clash(members[i], role_complements=role_complement_clash)
+            for i in changed
         ):
             tree.clash_nodes.append(node_id)
             return None
@@ -454,9 +466,8 @@ def decide_sat(
             return node_id
         for rule, member, target, lit in plan:
             child = _apply_planned(fam, rule, member, target, lit)
-            assert family_measure(child, depth_bound) < family_measure(
-                fam, depth_bound
-            ), "termination measure failed to decrease"
+            child_measure = family_measure(child, depth_bound)
+            assert child_measure < measure, "termination measure failed to decrease"
             if len(tree.nodes) >= max_nodes:
                 raise ResourceLimitError(max_nodes, tree)
             child_id = len(tree.nodes)
@@ -464,12 +475,16 @@ def decide_sat(
             tree.edges.append(
                 TraceEdge(node_id, RuleApplication(rule, member, target, lit, child), child_id)
             )
-            found = explore(child_id, child, depth + 1)
+            if rule == RULE_A3:
+                child_changed = (member, len(child.members) - 1)
+            else:
+                child_changed = (member,)
+            found = explore(child_id, child, depth + 1, child_changed, child_measure)
             if found is not None:
                 return found
         return None
 
-    witness = explore(0, root, 0)
+    witness = explore(0, root, 0, (0,), family_measure(root, depth_bound))
     stats = DecisionStats(
         nodes_expanded=len(tree.nodes),
         clashes=len(tree.clash_nodes),

@@ -20,7 +20,7 @@ import string
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Optional, Sequence
 
-from alcsat.engine import Strategy, decide_sat
+from alcsat.engine import Strategy, Verdict, decide_sat
 from alcsat.normal_form import to_cnf
 from alcsat.oracle import oracle_sat
 from alcsat.syntax import (
@@ -279,20 +279,15 @@ class Report:
         }
 
 
-def _verdicts_disagree(c: Concept) -> Optional[str]:
-    f = to_cnf(c)
-    o = oracle_sat(c)
-    b = decide_sat(f, Strategy.BASIC).satisfiable
-    p = decide_sat(f, Strategy.PLUS).satisfiable
+def _verdict_detail(o: bool, basic: Verdict, plus: Verdict) -> Optional[str]:
+    b, p = basic.satisfiable, plus.satisfiable
     if o == b == p:
         return None
     return f"oracle={o} basic={b} plus={p}"
 
 
-def _model_unsound(c: Concept) -> Optional[str]:
-    f = to_cnf(c)
-    for strategy in (Strategy.BASIC, Strategy.PLUS):
-        verdict = decide_sat(f, strategy)
+def _model_detail(c: Concept, basic: Verdict, plus: Verdict) -> Optional[str]:
+    for strategy, verdict in ((Strategy.BASIC, basic), (Strategy.PLUS, plus)):
         if not verdict.satisfiable:
             continue
         interp = tableau_to_interpretation(extract_tableau(verdict))
@@ -301,12 +296,21 @@ def _model_unsound(c: Concept) -> Optional[str]:
     return None
 
 
+def _solve(c: Concept) -> tuple[Verdict, Verdict]:
+    f = to_cnf(c)
+    return decide_sat(f, Strategy.BASIC), decide_sat(f, Strategy.PLUS)
+
+
 def run_differential(
     cfg: GenConfig, trials: int, include: Sequence[Concept] = ()
 ) -> Report:
     """Run ``trials`` generated concepts (after any injected ones) through
     the oracle and both strategies; check model soundness on every
-    satisfiable verdict."""
+    satisfiable verdict.
+
+    Each trial solves its concept once per strategy and once with the
+    oracle; only shrinking a failure solves again, once per candidate.
+    """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     rng = random.Random(cfg.seed)
@@ -316,10 +320,8 @@ def run_differential(
             concept = include[index]
         else:
             concept = gen_concept(cfg, rng)
-        f = to_cnf(concept)
         o = oracle_sat(concept)
-        bv = decide_sat(f, Strategy.BASIC)
-        pv = decide_sat(f, Strategy.PLUS)
+        bv, pv = _solve(concept)
         report.basic_nodes.add(bv.stats.nodes_expanded)
         report.plus_nodes.add(pv.stats.nodes_expanded)
         report.trial_log.append(
@@ -333,9 +335,11 @@ def run_differential(
                 pv.stats.nodes_expanded,
             )
         )
-        detail = _verdicts_disagree(concept)
+        detail = _verdict_detail(o, bv, pv)
         if detail is not None:
-            shrunk = shrink_concept(concept, lambda x: _verdicts_disagree(x) is not None)
+            shrunk = shrink_concept(
+                concept, lambda x: _verdict_detail(oracle_sat(x), *_solve(x)) is not None
+            )
             report.disagreements.append(
                 Disagreement(
                     "verdict",
@@ -346,9 +350,11 @@ def run_differential(
                 )
             )
             continue
-        detail = _model_unsound(concept)
+        detail = _model_detail(concept, bv, pv)
         if detail is not None:
-            shrunk = shrink_concept(concept, lambda x: _model_unsound(x) is not None)
+            shrunk = shrink_concept(
+                concept, lambda x: _model_detail(x, *_solve(x)) is not None
+            )
             report.disagreements.append(
                 Disagreement(
                     "model",

@@ -25,16 +25,32 @@ deduplicate and order elements by a fixed structural total order
 lexicographically by name/role, then recursively by body).  Structural
 equality on these values is therefore set equality.
 
-The distribution step is the naive recursive one and can blow up
-exponentially in clause count; see the README for the trade-off.
+Values are hash-consed: every literal, clause and clause set is built
+through one intern table, so two structurally equal values are the same
+object and equality is identity.  Each value stores its sort key, its
+hash and its quantifier depth, computed once at construction from its
+children's stored fields, so no later sort, hash or depth query walks
+the nesting.  The table holds its values weakly: a value lives exactly
+as long as some caller refers to it, and the table is not a cache.
+``copy`` and ``pickle`` rebuild values through the constructors, so no
+un-interned value can exist.  Values are immutable; assigning an
+attribute raises.
 
-Everything here is pure over immutable values and concurrently callable.
+The distribution step is the naive one and can blow up exponentially
+in clause count; see the README for the trade-off.  The conversions
+keep their own stacks, so deep nesting needs no call stack.
+
+Everything here is pure over immutable values and concurrently callable;
+a lock makes interning a new value atomic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+import threading
+import weakref
+from _weakref import _remove_dead_weakref
+from functools import lru_cache, partial
+from operator import attrgetter
 from typing import Iterable, Iterator, Union
 
 from alcsat.syntax import (
@@ -49,30 +65,78 @@ from alcsat.syntax import (
     Top,
 )
 
+# --- Hash-consed values ----------------------------------------------------
+#
+# ``_INTERN`` maps a value's structure, as its class and its (interned)
+# children, to a weak reference to the one live value with that
+# structure.  A constructor looks its structure up first and builds a
+# value only on a miss.  When a value dies, its reference's callback
+# deletes the entry if it still holds the dead reference, in one atomic
+# step, as ``weakref.WeakValueDictionary`` does; that class is not used
+# because it raises and catches ``KeyError`` on each miss and builds its
+# references in Python, which made each new value 2-3 us slower.
 
-@dataclass(frozen=True, slots=True)
-class Pos:
-    name: str
-
-
-@dataclass(frozen=True, slots=True)
-class Neg:
-    name: str
-
-
-@dataclass(frozen=True, slots=True)
-class ExistsLit:
-    role: str
-    body: "ClauseSet"
-
-
-@dataclass(frozen=True, slots=True)
-class ForallLit:
-    role: str
-    body: "ClauseSet"
+_INTERN: dict[tuple, weakref.ref] = {}
+_INTERN_LOCK = threading.Lock()  # makes a miss's look-up-or-insert atomic
+_set = object.__setattr__
+_key = attrgetter("key")
+_depth = attrgetter("depth")
 
 
-Literal = Union[Pos, Neg, ExistsLit, ForallLit]
+def _forget(ident: tuple, ref: weakref.ref, table=_INTERN, remove=_remove_dead_weakref) -> None:
+    """Callback of the table's references.  What it uses is bound as
+    defaults, so values that die while the interpreter shuts down, after
+    module globals are cleared, still find it."""
+    remove(table, ident)
+
+
+class _Value:
+    """Base of the interned values.
+
+    ``key`` is the value's sort key in the structural total order and
+    ``depth`` its quantifier nesting depth.  The hash is that of the tuple
+    of its fields, as for a frozen dataclass: structural, so the order in
+    which a set of values iterates does not depend on where they sit in
+    memory.  Equality is identity, inherited from ``object``.
+    """
+
+    __slots__ = ("key", "depth", "_hash", "__weakref__")
+    _fields: tuple[str, ...] = ()
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"{type(self).__name__} values are immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} values are immutable")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, which interns.
+        return type(self), tuple(getattr(self, f) for f in self._fields)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+def _build(cls, ident: tuple, key: tuple, depth: int, *values) -> _Value:
+    """A new ``cls`` value with these fields, interned under ``ident``;
+    or the equal one another thread interned first."""
+    self = object.__new__(cls)
+    _set(self, "key", key)
+    _set(self, "depth", depth)
+    _set(self, "_hash", hash(values))
+    for name, value in zip(cls._fields, values):
+        _set(self, name, value)
+    with _INTERN_LOCK:
+        ref = _INTERN.get(ident)
+        if ref is not None and (other := ref()) is not None:
+            return other
+        _INTERN[ident] = weakref.ref(self, partial(_forget, ident))
+    return self
+
 
 _KIND_POS = 0
 _KIND_NEG = 1
@@ -80,42 +144,83 @@ _KIND_EXISTS = 2
 _KIND_FORALL = 3
 
 
-def literal_key(lit: Literal) -> tuple:
-    """Sort key realizing the structural total order on literals."""
-    if isinstance(lit, Pos):
-        return (_KIND_POS, lit.name)
-    if isinstance(lit, Neg):
-        return (_KIND_NEG, lit.name)
-    if isinstance(lit, ExistsLit):
-        return (_KIND_EXISTS, lit.role, clause_set_key(lit.body))
-    if isinstance(lit, ForallLit):
-        return (_KIND_FORALL, lit.role, clause_set_key(lit.body))
-    raise TypeError(f"not a Literal: {lit!r}")
+class _NameLit(_Value):
+    __slots__ = ("name",)
+    _fields = ("name",)
+    _kind: int
+
+    def __new__(cls, name: str):
+        ident = (cls, name)
+        ref = _INTERN.get(ident)
+        if ref is None or (self := ref()) is None:
+            self = _build(cls, ident, (cls._kind, name), 0, name)
+        return self
 
 
-def clause_key(cl: "Clause") -> tuple:
-    return tuple(literal_key(lit) for lit in cl)
+class Pos(_NameLit):
+    __slots__ = ()
+    _kind = _KIND_POS
 
 
-def clause_set_key(f: "ClauseSet") -> tuple:
-    return tuple(clause_key(cl) for cl in f)
+class Neg(_NameLit):
+    __slots__ = ()
+    _kind = _KIND_NEG
 
 
-def _sorted_unique(items: Iterable, key) -> tuple:
-    seen = {}
-    for item in items:
-        seen.setdefault(key(item), item)
-    return tuple(seen[k] for k in sorted(seen))
+class _QuantLit(_Value):
+    __slots__ = ("role", "body")
+    _fields = ("role", "body")
+    _kind: int
+
+    def __new__(cls, role: str, body: "ClauseSet"):
+        ident = (cls, role, body)
+        ref = _INTERN.get(ident)
+        if ref is None or (self := ref()) is None:
+            self = _build(cls, ident, (cls._kind, role, body.key), 1 + body.depth, role, body)
+        return self
 
 
-@dataclass(frozen=True, init=False, slots=True)
-class Clause:
+class ExistsLit(_QuantLit):
+    __slots__ = ()
+    _kind = _KIND_EXISTS
+
+
+class ForallLit(_QuantLit):
+    __slots__ = ()
+    _kind = _KIND_FORALL
+
+
+Literal = Union[Pos, Neg, ExistsLit, ForallLit]
+
+
+def _canonical(items: Iterable[_Value]) -> tuple:
+    """``items`` deduplicated, in the structural order."""
+    items = tuple(items)
+    if len(items) < 2:
+        return items
+    return tuple(sorted(set(items), key=_key))
+
+
+class _Collection(_Value):
+    """A canonically ordered set of interned elements (one field)."""
+
+    __slots__ = ()
+
+    def __new__(cls, items: Iterable = ()):
+        items = _canonical(items)
+        ident = (cls, items)
+        ref = _INTERN.get(ident)
+        if ref is None or (self := ref()) is None:
+            key = tuple(map(_key, items))
+            self = _build(cls, ident, key, max(map(_depth, items), default=0), items)
+        return self
+
+
+class Clause(_Collection):
     """A disjunction of literals, stored as a canonically ordered set."""
 
-    literals: tuple[Literal, ...]
-
-    def __init__(self, literals: Iterable[Literal] = ()) -> None:
-        object.__setattr__(self, "literals", _sorted_unique(literals, literal_key))
+    __slots__ = ("literals",)
+    _fields = ("literals",)
 
     def __iter__(self) -> Iterator[Literal]:
         return iter(self.literals)
@@ -135,17 +240,14 @@ class Clause:
         return not self.literals
 
     def without(self, lit: Literal) -> "Clause":
-        return Clause(l for l in self.literals if l != lit)
+        return Clause(l for l in self.literals if l is not lit)
 
 
-@dataclass(frozen=True, init=False, slots=True)
-class ClauseSet:
+class ClauseSet(_Collection):
     """A conjunction of clauses, stored as a canonically ordered set."""
 
-    clauses: tuple[Clause, ...]
-
-    def __init__(self, clauses: Iterable[Clause] = ()) -> None:
-        object.__setattr__(self, "clauses", _sorted_unique(clauses, clause_key))
+    __slots__ = ("clauses",)
+    _fields = ("clauses",)
 
     def __iter__(self) -> Iterator[Clause]:
         return iter(self.clauses)
@@ -164,7 +266,7 @@ class ClauseSet:
         return ClauseSet(self.clauses + other.clauses)
 
     def without(self, cl: Clause) -> "ClauseSet":
-        return ClauseSet(c for c in self.clauses if c != cl)
+        return ClauseSet(c for c in self.clauses if c is not cl)
 
     def issubset(self, other: "ClauseSet") -> bool:
         return all(cl in other for cl in self.clauses)
@@ -182,88 +284,153 @@ def to_nnf(c: Concept) -> Concept:
     The result is semantically equivalent to ``c``; negation occurs only
     directly on names.  ``top``/``bot`` survive only as a whole-concept
     result or in the residual forms ``exists R.top`` / ``forall R.bot``.
+    The walk keeps its own stack, so deep nesting (a run of thousands of
+    ``!``, a chain of thousands of ``&``) needs no call stack.
     """
-    if isinstance(c, (Name, Top, Bottom)):
-        return c
-    if isinstance(c, And):
-        left, right = to_nnf(c.left), to_nnf(c.right)
-        if isinstance(left, Bottom) or isinstance(right, Bottom):
-            return Bottom()
-        if isinstance(left, Top):
-            return right
-        if isinstance(right, Top):
-            return left
-        return And(left, right)
-    if isinstance(c, Or):
-        left, right = to_nnf(c.left), to_nnf(c.right)
-        if isinstance(left, Top) or isinstance(right, Top):
-            return Top()
-        if isinstance(left, Bottom):
-            return right
-        if isinstance(right, Bottom):
-            return left
-        return Or(left, right)
-    if isinstance(c, Forall):
-        body = to_nnf(c.body)
-        if isinstance(body, Top):
-            return Top()
-        return Forall(c.role, body)
-    if isinstance(c, Exists):
-        body = to_nnf(c.body)
-        if isinstance(body, Bottom):
-            return Bottom()
-        return Exists(c.role, body)
-    if isinstance(c, Not):
-        inner = c.body
-        if isinstance(inner, Name):
-            return c
-        if isinstance(inner, Top):
-            return Bottom()
-        if isinstance(inner, Bottom):
-            return Top()
-        if isinstance(inner, Not):
-            return to_nnf(inner.body)
-        if isinstance(inner, And):
-            return to_nnf(Or(Not(inner.left), Not(inner.right)))
-        if isinstance(inner, Or):
-            return to_nnf(And(Not(inner.left), Not(inner.right)))
-        if isinstance(inner, Forall):
-            return to_nnf(Exists(inner.role, Not(inner.body)))
-        if isinstance(inner, Exists):
-            return to_nnf(Forall(inner.role, Not(inner.body)))
-    raise TypeError(f"not a Concept: {c!r}")
+    # ``todo`` holds (None, concept) to normalize, or (constructor,
+    # concept) to rebuild ``concept`` from the results on top of ``done``;
+    # a node whose operands came back unchanged is kept as it is.
+    done: list[Concept] = []
+    todo: list[tuple] = [(None, c)]
+    while todo:
+        ctor, item = todo.pop()
+        if ctor is None:
+            c = item
+            if isinstance(c, Name):
+                done.append(c)
+                continue
+            while isinstance(c, Not) and isinstance(c.body, Not):
+                c = c.body.body
+            if isinstance(c, Not):
+                inner = c.body
+                if isinstance(inner, Name):
+                    done.append(c)
+                    continue
+                if isinstance(inner, Top):
+                    c = Bottom()
+                elif isinstance(inner, Bottom):
+                    c = Top()
+                elif isinstance(inner, And):
+                    c = Or(Not(inner.left), Not(inner.right))
+                elif isinstance(inner, Or):
+                    c = And(Not(inner.left), Not(inner.right))
+                elif isinstance(inner, Forall):
+                    c = Exists(inner.role, Not(inner.body))
+                elif isinstance(inner, Exists):
+                    c = Forall(inner.role, Not(inner.body))
+                else:
+                    raise TypeError(f"not a Concept: {c!r}")
+            if isinstance(c, (Name, Top, Bottom)):
+                done.append(c)
+            elif isinstance(c, (And, Or, Forall, Exists)):
+                todo.append((type(c), c))
+                if isinstance(c, (And, Or)):
+                    todo += ((None, c.right), (None, c.left))
+                else:
+                    todo.append((None, c.body))
+            else:
+                raise TypeError(f"not a Concept: {c!r}")
+        elif ctor is And or ctor is Or:
+            right, left = done.pop(), done.pop()
+            absorbing, unit = (Bottom, Top) if ctor is And else (Top, Bottom)
+            if isinstance(left, absorbing) or isinstance(right, absorbing):
+                done.append(absorbing())
+            elif isinstance(left, unit):
+                done.append(right)
+            elif isinstance(right, unit):
+                done.append(left)
+            elif left is item.left and right is item.right:
+                done.append(item)
+            else:
+                done.append(ctor(left, right))
+        else:
+            body = done.pop()
+            if ctor is Forall and isinstance(body, Top):
+                done.append(Top())
+            elif ctor is Exists and isinstance(body, Bottom):
+                done.append(Bottom())
+            elif body is item.body:
+                done.append(item)
+            else:
+                done.append(ctor(item.role, body))
+    return done.pop()
 
 
-def _cnf_of_nnf(c: Concept) -> ClauseSet:
-    if isinstance(c, Name):
-        return ClauseSet((Clause((Pos(c.name),)),))
-    if isinstance(c, Top):
-        return EMPTY_CLAUSE_SET
-    if isinstance(c, Bottom):
-        return FALSE_CLAUSE_SET
-    if isinstance(c, Not):
-        if not isinstance(c.body, Name):
-            raise ValueError(f"not in negation normal form: {c!r}")
-        return ClauseSet((Clause((Neg(c.body.name),)),))
-    if isinstance(c, Exists):
-        return ClauseSet((Clause((ExistsLit(c.role, _cnf_of_nnf(c.body)),)),))
-    if isinstance(c, Forall):
-        return ClauseSet((Clause((ForallLit(c.role, _cnf_of_nnf(c.body)),)),))
-    if isinstance(c, And):
-        return _cnf_of_nnf(c.left).union(_cnf_of_nnf(c.right))
-    if isinstance(c, Or):
-        left, right = _cnf_of_nnf(c.left), _cnf_of_nnf(c.right)
-        # Cross product of clauses distributes | over &.  The top/bot
-        # encodings fall out: {} absorbs, {{}} is the unit.
-        return ClauseSet(
-            Clause(cl.literals + cr.literals) for cl in left for cr in right
-        )
-    raise TypeError(f"not a Concept: {c!r}")
+def _operands(c: Concept) -> list[Concept]:
+    """The operands, left to right, of the chain of ``c``'s connective
+    (``&`` or ``|``) rooted at ``c``."""
+    kind = type(c)
+    operands: list[Concept] = []
+    stack = [c]
+    while stack:
+        node = stack.pop()
+        if type(node) is kind:
+            stack += (node.right, node.left)
+        else:
+            operands.append(node)
+    return operands
+
+
+def _clauses_of_nnf(c: Concept) -> tuple[Clause, ...]:
+    """The clauses of ``c``'s clause-set form, not yet deduplicated or
+    ordered except where a disjunction or a quantifier body needs it."""
+    # As in to_nnf, an explicit stack: ``todo`` holds (None, concept) to
+    # transform, or (combiner, argument) to apply to results on ``done``.
+    done: list[tuple[Clause, ...]] = []
+    todo: list[tuple] = [(None, c)]
+    while todo:
+        combine, item = todo.pop()
+        if combine is None:
+            c = item
+            if isinstance(c, Name):
+                done.append((Clause((Pos(c.name),)),))
+            elif isinstance(c, Top):
+                done.append(())
+            elif isinstance(c, Bottom):
+                done.append((EMPTY_CLAUSE,))
+            elif isinstance(c, Not):
+                if not isinstance(c.body, Name):
+                    raise ValueError(f"not in negation normal form: {c!r}")
+                done.append((Clause((Neg(c.body.name),)),))
+            elif isinstance(c, Exists):
+                todo += ((ExistsLit, c.role), (None, c.body))
+            elif isinstance(c, Forall):
+                todo += ((ForallLit, c.role), (None, c.body))
+            elif isinstance(c, (And, Or)):
+                operands = _operands(c)
+                todo.append((type(c), len(operands)))
+                todo += ((None, o) for o in reversed(operands))
+            else:
+                raise TypeError(f"not a Concept: {c!r}")
+        elif combine is And:
+            # Every conjunct's clauses, gathered once for the whole chain.
+            parts = done[-item:]
+            del done[-item:]
+            done.append(tuple(cl for part in parts for cl in part))
+        elif combine is Or:
+            # Cross product of clauses distributes | over &.  The top/bot
+            # encodings fall out: () absorbs, (empty clause,) is the unit.
+            # Disjuncts of one clause each make one clause between them,
+            # built once rather than one literal longer per disjunct.
+            parts = done[-item:]
+            del done[-item:]
+            single = [part[0].literals for part in parts if len(part) == 1]
+            clauses = (Clause(lit for lits in single for lit in lits),)
+            for part in parts:
+                if len(part) != 1:
+                    part = _canonical(part)
+                    clauses = _canonical(
+                        Clause(cl.literals + cr.literals) for cl in clauses for cr in part
+                    )
+            done.append(clauses)
+        else:
+            done.append((Clause((combine(item, ClauseSet(done.pop())),)),))
+    return done.pop()
 
 
 def to_cnf(c: Concept) -> ClauseSet:
     """Transform any concept into its canonical clause-set normal form."""
-    return _cnf_of_nnf(to_nnf(c))
+    return ClauseSet(_clauses_of_nnf(to_nnf(c)))
 
 
 def literal_to_concept(lit: Literal) -> Concept:
@@ -300,14 +467,17 @@ def clause_set_to_concept(f: ClauseSet) -> Concept:
     return node
 
 
-@lru_cache(maxsize=None)
+# The cache holds its literals strongly; its bound is what it can keep
+# alive past their last use.
+@lru_cache(maxsize=4096)
 def complement(lit: Literal) -> Literal:
     """Complementary literal: names flip sign; ``exists R.F`` pairs with
     ``forall R.CNF(!F)`` and symmetrically.
 
     For names the complement is an involution; for quantified literals a
     double complement is semantically (not necessarily syntactically)
-    equivalent to the original.
+    equivalent to the original.  Results are cached (a quantified
+    complement costs a clause-set conversion), in a bounded cache.
     """
     if isinstance(lit, Pos):
         return Neg(lit.name)
@@ -338,11 +508,11 @@ def is_canonical_clause_set(f: ClauseSet) -> bool:
         return isinstance(lit, (Pos, Neg))
 
     def cl_ok(cl: Clause) -> bool:
-        keys = [literal_key(l) for l in cl]
+        keys = [l.key for l in cl]
         return keys == sorted(set(keys)) and all(lit_ok(l) for l in cl)
 
     def cs_ok(cs: ClauseSet) -> bool:
-        keys = [clause_key(c) for c in cs]
+        keys = [c.key for c in cs]
         return keys == sorted(set(keys)) and all(cl_ok(c) for c in cs)
 
     return cs_ok(f)

@@ -182,10 +182,19 @@ class _Parser:
         return node
 
     def _unary(self) -> Concept:
-        tok = self._peek()
-        if tok.kind == "!":
+        # A run of "!" is counted in a loop, not parsed by recursion, so
+        # thousands of negations need no call stack.
+        negations = 0
+        while self._peek().kind == "!":
             self._advance()
-            return Not(self._unary())
+            negations += 1
+        node = self._primary()
+        for _ in range(negations):
+            node = Not(node)
+        return node
+
+    def _primary(self) -> Concept:
+        tok = self._peek()
         if tok.kind == "keyword" and tok.text in ("forall", "exists"):
             self._advance()
             role = self._expect("name", "role name")

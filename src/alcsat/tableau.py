@@ -153,6 +153,15 @@ def _expr_str(x: LabelExpr) -> str:
     return repr(clause_to_json(x))
 
 
+def _holders(clauses) -> dict[Literal, list[Clause]]:
+    """Each literal of ``clauses`` -> the clauses holding it, in order."""
+    holders: dict[Literal, list[Clause]] = {}
+    for cl in clauses:
+        for lit in cl:
+            holders.setdefault(lit, []).append(cl)
+    return holders
+
+
 def check_tableau(t: CnfTableau, f: ClauseSet, restricted: bool) -> list[Violation]:
     """All violations of the tableau conditions for ``f``; empty iff the
     tableau is well formed.
@@ -184,9 +193,11 @@ def check_tableau(t: CnfTableau, f: ClauseSet, restricted: bool) -> list[Violati
         clauses = t.clauses_at(s)
         units: list[Literal] = [c.literals[0] for c in clauses if c.is_unit]
         unit_set = set(units)
+        comps = {lit: complement(lit) for lit in units}
+        holders = _holders(clauses)
 
         for lit in units:
-            if complement(lit) in unit_set:
+            if comps[lit] in unit_set:
                 violations.append(Violation(1, (s,), _expr_str(Clause((lit,)))))
 
         for cs in t.clause_sets_at(s):
@@ -196,15 +207,14 @@ def check_tableau(t: CnfTableau, f: ClauseSet, restricted: bool) -> list[Violati
                     break
 
         for cl in clauses:
-            witnesses = [lit for lit in cl if Clause((lit,)) in clauses]
+            witnesses = [lit for lit in cl if lit in unit_set]
             if restricted:
                 witnesses = [
                     lit
                     for lit in witnesses
                     if all(
-                        complement(lit) not in other
-                        or t.has_clause(s, other.without(complement(lit)))
-                        for other in clauses
+                        t.has_clause(s, other.without(comps[lit]))
+                        for other in holders.get(comps[lit], ())
                     )
                 ]
             if not witnesses:
@@ -254,14 +264,14 @@ def _close_labels(clause_sets: set[ClauseSet], clauses: set[Clause]) -> None:
                     if merged not in clauses:
                         clauses.add(merged)
                         changed = True
+        holders = _holders(clauses)
         for lit in units:
             comp = complement(lit)
-            for cl in list(clauses):
-                if comp in cl:
-                    reduced = cl.without(comp)
-                    if not reduced.is_empty and reduced not in clauses:
-                        clauses.add(reduced)
-                        changed = True
+            for cl in holders.get(comp, ()):
+                reduced = cl.without(comp)
+                if not reduced.is_empty and reduced not in clauses:
+                    clauses.add(reduced)
+                    changed = True
 
 
 def extract_tableau(verdict: Verdict) -> CnfTableau:

@@ -33,6 +33,19 @@ def test_check_reads_concept_files_with_comments(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "SAT"
 
 
+def test_check_deep_negation_exits_with_a_verdict(capsys):
+    assert main(["check", "!" * 5000 + "A"]) == 0
+    assert main(["check", "!" * 5001 + "A & A"]) == 1
+    assert capsys.readouterr().out.split() == ["SAT", "UNSAT"]
+
+
+def test_check_long_conjunction_exits_with_a_verdict(capsys):
+    chain = " & ".join(f"A{i}" for i in range(3000))
+    assert main(["check", chain]) == 0
+    assert main(["check", chain + " & !A1234"]) == 1
+    assert capsys.readouterr().out.split() == ["SAT", "UNSAT"]
+
+
 def test_check_strategy_flag_and_trace_files(tmp_path, capsys):
     trace_json = tmp_path / "trace.json"
     trace_dot = tmp_path / "trace.dot"

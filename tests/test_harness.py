@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from alcsat import harness
 from alcsat.harness import (
     GenConfig,
     gen_concept,
@@ -169,3 +170,28 @@ def test_shrinker_minimizes_while_preserving_predicate():
     small = shrink_concept(big, is_unsat)
     assert is_unsat(small)
     assert _depth(small) < _depth(big)
+
+
+def test_one_solve_per_strategy_and_one_oracle_call_per_trial(monkeypatch):
+    calls = {"decide": 0, "oracle": 0}
+
+    def counted(kind, fn):
+        def call(*args, **kwargs):
+            calls[kind] += 1
+            return fn(*args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(harness, "decide_sat", counted("decide", harness.decide_sat))
+    monkeypatch.setattr(harness, "oracle_sat", counted("oracle", harness.oracle_sat))
+    report = run_differential(GenConfig(seed=5), 1, include=[parse_concept(ANIMAL_TEXT)])
+    assert report.ok
+    assert report.trial_log[0].oracle and report.trial_log[0].basic_nodes == 11
+    assert calls == {"decide": 2, "oracle": 1}
+
+
+def test_disagreement_is_shrunk_by_solving_again(monkeypatch):
+    monkeypatch.setattr(harness, "oracle_sat", lambda c: False)
+    report = run_differential(GenConfig(seed=5), 1, include=[parse_concept("A & exists R.B")])
+    [d] = report.disagreements
+    assert (d.kind, d.detail, d.shrunk) == ("verdict", "oracle=False basic=True plus=True", "top")

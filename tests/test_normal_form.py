@@ -44,6 +44,24 @@ def test_nnf_double_negation():
     assert to_nnf(Not(Not(Name("A")))) == Name("A")
 
 
+def test_nnf_and_cnf_of_deep_inputs_need_no_call_stack():
+    a = Name("A")
+    deep = a
+    for _ in range(5001):
+        deep = Not(deep)
+    assert to_nnf(deep) == Not(a)
+    assert to_cnf(deep) == to_cnf(Not(a))
+    chain = Name("B0")
+    for i in range(1, 3000):
+        chain = And(chain, Name(f"B{i}"))
+    assert to_nnf(chain) is chain
+    assert len(to_cnf(chain)) == 3000
+    negated = to_nnf(Not(chain))
+    assert isinstance(negated, Or) and negated.right == Not(Name("B2999"))
+    assert to_cnf(Not(chain)) == to_cnf(Not(Not(Not(chain))))
+    assert len(to_cnf(Not(chain)).clauses[0]) == 3000
+
+
 def test_nnf_de_morgan_conjunction():
     assert to_nnf(Not(And(Name("A"), Name("B")))) == Or(Not(Name("A")), Not(Name("B")))
 

@@ -1,0 +1,237 @@
+"""Hash-consed values: identity, canonical form on search trees, the weak
+intern table, and the incremental clash check against a full one."""
+
+from __future__ import annotations
+
+import copy
+import gc
+import json
+import pickle
+import random
+import sys
+import threading
+
+import pytest
+
+from alcsat import normal_form
+from alcsat.clause_model import Family
+from alcsat.engine import Strategy, _apply_planned, _plan, decide_sat
+from alcsat.harness import GenConfig, gen_concept
+from alcsat.normal_form import (
+    Clause,
+    ClauseSet,
+    ExistsLit,
+    ForallLit,
+    Neg,
+    Pos,
+    clause_set_from_json,
+    clause_set_to_json,
+    complement,
+    is_canonical_clause_set,
+    to_cnf,
+)
+from alcsat.syntax import parse_concept
+from conftest import ANIMAL_CNF
+
+# Leans on connectives and quantifiers, so that the searches backtrack.
+STRUCTURED_WEIGHTS = {
+    "name": 2, "top": 0.3, "bot": 0.3, "not": 1.5,
+    "and": 2.5, "or": 2.5, "exists": 2, "forall": 2,
+}
+
+
+def _build_animal_cnf() -> ClauseSet:
+    """The animal clause set, built from scratch in a different order."""
+    body = ClauseSet([Clause([Neg("Small")]), Clause([Pos("Leg")])])
+    return ClauseSet(
+        [
+            Clause([ForallLit("hasPart", ClauseSet([Clause([Neg("Wing")])])),
+                    ForallLit("hasPart", ClauseSet([Clause([Neg("Leg")])]))]),
+            Clause([ExistsLit("hasPart", body), Neg("Animal")]),
+            Clause([ForallLit("hasPart", ClauseSet([Clause([Pos("Small")])])), Pos("Animal")]),
+            Clause([Pos("Black"), Pos("Animal"), Pos("Black")]),
+        ]
+    )
+
+
+def test_equal_values_are_identical():
+    f = _build_animal_cnf()
+    assert f is ANIMAL_CNF
+    assert to_cnf(parse_concept("A | B")) is ClauseSet([Clause([Pos("B"), Pos("A")])])
+    assert Pos("A") is Pos("A") and Pos("A") is not Neg("A")
+    for a, b in zip(f, ANIMAL_CNF):
+        assert a is b
+        for x, y in zip(a, b):
+            assert x is y
+
+
+def test_identity_survives_json_copy_and_pickle():
+    f = ANIMAL_CNF
+    assert clause_set_from_json(json.loads(json.dumps(clause_set_to_json(f)))) is f
+    assert copy.copy(f) is f
+    assert copy.deepcopy(f) is f
+    assert pickle.loads(pickle.dumps(f)) is f
+    lit = f.clauses[-1].literals[0]
+    assert pickle.loads(pickle.dumps(lit)) is lit
+    assert copy.deepcopy([lit, f])[0] is lit
+
+
+def test_stored_fields_match_the_structure():
+    f = ANIMAL_CNF
+    assert f.depth == 1
+    assert Pos("A").depth == 0
+    assert ExistsLit("R", f).depth == 2
+    assert f.key == tuple(c.key for c in f)
+    assert hash(f) == hash((f.clauses,))
+    assert hash(Pos("A")) == hash(("A",))
+    with pytest.raises(AttributeError):
+        f.clauses = ()
+
+
+def _modal_cnf(rng: random.Random, clauses: int) -> str:
+    """Random modal 3-CNF text over A, B, C and one role, at depth 1."""
+
+    def name() -> str:
+        return ("!" if rng.random() < 0.5 else "") + rng.choice("ABC")
+
+    def literal() -> str:
+        if rng.random() < 0.5:
+            return name()
+        quant = rng.choice(("forall", "exists"))
+        text = f"{quant} R.({name()} | {name()} | {name()})"
+        return ("!" if rng.random() < 0.5 else "") + text
+
+    return " & ".join(
+        f"({literal()} | {literal()} | {literal()})" for _ in range(clauses)
+    )
+
+
+def _successor_family(n: int) -> str:
+    parts = [f"exists R.(A{i} | B{i} | C{i})" for i in range(n)]
+    return " & ".join(parts + ["exists S.((E & !E) | (F & !F))"])
+
+
+def test_every_search_node_is_canonical():
+    rng = random.Random(20030118)
+    texts = [_modal_cnf(rng, clauses) for clauses in (4, 6, 8) for _ in range(6)]
+    texts += [_successor_family(n) for n in (1, 2, 3)]
+    nodes = 0
+    for text in texts:
+        for strategy in Strategy:
+            verdict = decide_sat(to_cnf(parse_concept(text)), strategy)
+            for fam in verdict.tree.nodes:
+                nodes += 1
+                assert all(is_canonical_clause_set(m) for m in fam.members)
+    assert nodes > 1000
+
+
+def test_intern_table_is_weak():
+    complement.cache_clear()
+    gc.collect()
+    before = len(normal_form._INTERN)
+    text = "(Wk1 | forall Rk.Wk2) & (!Wk1 | exists Rk.(Wk3 & !Wk2)) & !Wk3"
+    verdict = decide_sat(to_cnf(parse_concept(text)), Strategy.PLUS)
+    assert verdict.satisfiable
+    assert len(normal_form._INTERN) > before
+
+    def mentions_run(value) -> bool:
+        return "Wk" in repr(value)
+
+    def live() -> list:
+        return [ref() for ref in list(normal_form._INTERN.values())]
+
+    assert any(mentions_run(v) for v in live())
+    del verdict
+    complement.cache_clear()
+    gc.collect()
+    assert not any(mentions_run(v) for v in live())
+    assert None not in live()
+    assert len(normal_form._INTERN) <= before
+
+
+def _clashed(m: ClauseSet) -> bool:
+    """The clash condition as defined: the empty clause, or a unit whose
+    complement is a unit too."""
+    units = {c.literals[0] for c in m if c.is_unit}
+    return any(c.is_empty for c in m) or any(complement(lit) in units for lit in units)
+
+
+def _full_check_search(f: ClauseSet, strategy: Strategy) -> tuple[bool, int, list[int]]:
+    """The search with every member of every node clash-checked, as it
+    was before the incremental check.  Returns (satisfiable, nodes, clash
+    nodes)."""
+    nodes: list[Family] = [Family((f,))]
+    clashes: list[int] = []
+
+    def explore(node_id: int) -> bool:
+        fam = nodes[node_id]
+        if any(_clashed(m) for m in fam.members):
+            clashes.append(node_id)
+            return False
+        plan = _plan(fam, strategy, False)
+        if plan is None:
+            return True
+        for rule, member, target, lit in plan:
+            nodes.append(_apply_planned(fam, rule, member, target, lit))
+            if explore(len(nodes) - 1):
+                return True
+        return False
+
+    sat = explore(0)
+    return sat, len(nodes), clashes
+
+
+def test_incremental_clash_check_matches_full_check_on_a_batch():
+    cfg = GenConfig(max_depth=5, connective_weights=STRUCTURED_WEIGHTS, seed=7)
+    rng = random.Random(cfg.seed)
+    runs = clashes = 0
+    for _ in range(500):
+        f = to_cnf(gen_concept(cfg, rng))
+        for strategy in Strategy:
+            verdict = decide_sat(f, strategy)
+            expected = _full_check_search(f, strategy)
+            assert (
+                verdict.satisfiable,
+                verdict.stats.nodes_expanded,
+                verdict.tree.clash_nodes,
+            ) == expected
+            runs += 1
+            clashes += len(verdict.tree.clash_nodes)
+    assert runs == 1000 and clashes > 50
+
+
+def test_interning_is_atomic_across_threads():
+    names = [f"Thr{i}" for i in range(30)]
+    workers, rounds = 4, 150
+    current: list = [None] * workers
+    mismatches: list[int] = []
+    barrier = threading.Barrier(workers, timeout=30)
+
+    def work(slot: int) -> None:
+        for r in range(rounds):
+            current[slot] = [
+                ClauseSet([Clause([Pos(n), Neg(n)]), Clause([ExistsLit("R", ClauseSet())])])
+                for n in names
+            ]
+            barrier.wait()
+            if slot == 0 and any(
+                current[s][i] is not current[0][i] for s in range(workers) for i in range(len(names))
+            ):
+                mismatches.append(r)
+            barrier.wait()
+            current[slot] = None  # every value dies before the next round
+            barrier.wait()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(slot,)) for slot in range(workers)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert mismatches == []
+    assert not any("Thr" in repr(ref()) for ref in list(normal_form._INTERN.values()))

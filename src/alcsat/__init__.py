@@ -31,7 +31,6 @@ from alcsat.normal_form import (
     Literal,
     Neg,
     Pos,
-    canonicalize,
     clause_set_to_concept,
     complement,
     to_cnf,
@@ -75,7 +74,6 @@ __all__ = [
     "Strategy",
     "Top",
     "Verdict",
-    "canonicalize",
     "check_tableau",
     "clause_set_to_concept",
     "complement",

@@ -6,13 +6,18 @@ Subcommands::
                  [--trace PATH(.json|.dot)] [--model] [--oracle] EXPR_OR_FILE
     alcsat cnf EXPR_OR_FILE
     alcsat fuzz --trials N [--seed N] [--max-depth N] [--names N] [--roles N]
+                [--structured]
     alcsat trace-replay PATH
 
 ``check`` prints SAT or UNSAT and exits 0 on SAT, 1 on UNSAT, 2 on input
-error, 3 when ``--oracle`` disagrees with the engine, 4 when the node
-budget is exhausted.  ``fuzz`` exits 0 when the differential report is
-clean and 5 on any disagreement.  ``trace-replay`` exits 0 when the
-recorded trace replays exactly and 1 otherwise.
+error (including quantifiers and parentheses nested deeper than
+``syntax.MAX_NESTING``), 3 when ``--oracle`` disagrees with the engine,
+4 when the node budget is exhausted.  ``fuzz`` prints the differential
+report JSON (with ``plus_fewer_nodes``, the trials where plus expanded
+fewer nodes than basic) and exits 0 when it is clean and 5 on any
+disagreement.  ``trace-replay`` exits 0 when the recorded trace replays
+exactly, 1 when it does not, and 2 when the file cannot be read or is
+not shaped like a trace (one line on stderr).
 
 An argument naming an existing file is read as UTF-8 holding one concept;
 ``#`` starts a line comment.  Configuration is flags only, so runs are
@@ -29,12 +34,13 @@ import sys
 from alcsat.engine import (
     ResourceLimitError,
     Strategy,
+    TraceFormatError,
     decide_sat,
     replay_trace,
     trace_to_dot,
     trace_to_json,
 )
-from alcsat.harness import GenConfig, run_differential
+from alcsat.harness import DEFAULT_WEIGHTS, STRUCTURED_WEIGHTS, GenConfig, run_differential
 from alcsat.normal_form import clause_set_to_json, to_cnf
 from alcsat.oracle import oracle_sat
 from alcsat.syntax import ParseError, parse_concept
@@ -129,6 +135,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
             max_depth=args.max_depth,
             num_names=args.names,
             num_roles=args.roles,
+            connective_weights=STRUCTURED_WEIGHTS if args.structured else DEFAULT_WEIGHTS,
             seed=args.seed,
         )
     except ValueError as exc:
@@ -143,10 +150,14 @@ def _cmd_trace_replay(args: argparse.Namespace) -> int:
     try:
         with open(args.path, encoding="utf-8") as handle:
             trace = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
         print(f"cannot load trace: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    problems = replay_trace(trace)
+    try:
+        problems = replay_trace(trace)
+    except TraceFormatError as exc:
+        print(f"malformed trace: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
     if problems:
         for problem in problems:
             print(problem, file=sys.stderr)
@@ -197,6 +208,10 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument("--max-depth", type=int, default=3)
     fuzz.add_argument("--names", type=int, default=4)
     fuzz.add_argument("--roles", type=int, default=2)
+    fuzz.add_argument(
+        "--structured", action="store_true",
+        help="lean generation on connectives and quantifiers, so searches backtrack",
+    )
     fuzz.set_defaults(func=_cmd_fuzz)
 
     replay = sub.add_parser("trace-replay", help="verify a recorded trace")

@@ -25,12 +25,18 @@ universal literal sitting inside a non-unit clause and discarding its
 siblings).  A3 target order is fixed: peeling commutes, each existential
 spawns an independent child.
 
+A family is complete when no rule applies to any member.  ``_plan``,
+the scheduler above, is the only code that decides applicability, so
+:func:`is_complete` is ``_plan`` finding no step.  A2+ and A3 apply only
+to an all-unit member; a member holding the empty clause is not one.
+
 A member is clashed when it contains the empty clause or two
-complementary unit clauses; any clashed member prunes the whole node.
-An empty member (no clauses) is trivially satisfiable, never a clash.
-The search checks only the members a step changed (the rewritten
-member, and for A3 the appended one): the parent was clash-free, and
-every other member is the parent's own value.
+complementary unit clauses (names, or ``exists R.F`` against
+``forall R.CNF(!F)``); any clashed member prunes the whole node.  An
+empty member (no clauses) is trivially satisfiable, never a clash.  The
+search checks only the members a step changed (the rewritten member,
+and for A3 the appended one): the parent was clash-free, and every other
+member is the parent's own value.
 
 Termination is witnessed by an executable measure: members are stratified
 by maximum quantifier nesting depth, and per stratum the triple
@@ -42,14 +48,15 @@ carrying it down as the parent measure of the next step.
 
 ``decide_sat`` is a self-contained computation over immutable snapshots;
 concurrent calls are safe and a run's trace is a deterministic function
-of input and strategy.
+of input, strategy and ``a2_anywhere``.  It keeps its own stack, so the
+length of a derivation is not bounded by Python's recursion limit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from typing import Iterator, Optional
 
 from alcsat.clause_model import Family, family_to_json, family_from_json
 from alcsat.normal_form import (
@@ -96,6 +103,10 @@ class UniversalPresentError(PreconditionError):
 
 class NonUnitPresentError(NotAllUnitError):
     """A3 hit a clause that is not a unit."""
+
+
+class TraceFormatError(ValueError):
+    """The input to :func:`replay_trace` is not shaped like a trace."""
 
 
 class ResourceLimitError(Exception):
@@ -195,18 +206,13 @@ def apply_a3(fam: Family, i: int, ex_unit: Clause) -> Family:
     )
 
 
-# --- Clash and completeness ----------------------------------------------
+# --- Clash ---------------------------------------------------------------
 
 
-def is_clash(f: ClauseSet, *, role_complements: bool = True) -> bool:
+def is_clash(f: ClauseSet) -> bool:
     """True iff ``f`` holds the empty clause or a complementary pair of
-    unit clauses.
-
-    Complementary quantified units (``exists R.F`` against
-    ``forall R.CNF(!F)``, structurally) are detected by default; with
-    ``role_complements=False`` only name pairs count, which may delay but
-    never change verdicts (the pair is refuted by A2 and A3 in a child).
-    """
+    unit clauses: two name units ``A`` and ``!A``, or ``exists R.F``
+    against ``forall R.CNF(!F)`` (structurally)."""
     positive, negative, quantified = set(), set(), set()
     for c in f.clauses:
         lits = c.literals
@@ -222,53 +228,7 @@ def is_clash(f: ClauseSet, *, role_complements: bool = True) -> bool:
                 quantified.add(lit)
     if not positive.isdisjoint(negative):
         return True
-    if role_complements:
-        return any(complement(lit) in quantified for lit in quantified)
-    return False
-
-
-def _first_nonunit(f: ClauseSet) -> Optional[Clause]:
-    for c in f:
-        if len(c) >= 2:
-            return c
-    return None
-
-
-def _forall_units(f: ClauseSet) -> list[Clause]:
-    return [c for c in f if c.is_unit and isinstance(c.literals[0], ForallLit)]
-
-
-def _exists_units(f: ClauseSet) -> list[Clause]:
-    return [c for c in f if c.is_unit and isinstance(c.literals[0], ExistsLit)]
-
-
-def _forall_literals(f: ClauseSet) -> list[Literal]:
-    seen = []
-    for c in f:
-        for lit in c:
-            if isinstance(lit, ForallLit) and lit not in seen:
-                seen.append(lit)
-    return seen
-
-
-def _member_complete(f: ClauseSet, strategy: Strategy) -> bool:
-    if _first_nonunit(f) is not None:
-        return False  # A1/A1+ applies
-    all_unit = all(c.is_unit for c in f)
-    if strategy is Strategy.BASIC:
-        if _forall_literals(f):
-            return False  # A2 applies (on units here, non-units caught above)
-    else:
-        if all_unit and _forall_units(f):
-            return False  # A2+ applies
-    if all_unit and not _forall_units(f) and _exists_units(f):
-        return False  # A3 applies
-    return True
-
-
-def is_complete(fam: Family, strategy: Strategy) -> bool:
-    """True iff no rule of the strategy's system applies to any member."""
-    return all(_member_complete(m, strategy) for m in fam.members)
+    return any(complement(lit) in quantified for lit in quantified)
 
 
 # --- Derivation trees and verdicts ---------------------------------------
@@ -376,34 +336,54 @@ def family_measure(fam: Family, depth_bound: int) -> tuple:
 def _plan(
     fam: Family, strategy: Strategy, a2_anywhere: bool
 ) -> Optional[list[tuple[str, int, Clause, Optional[Literal]]]]:
-    """Alternatives for the next step, or None when the family is complete.
+    """Alternatives for the next step, or None when no rule applies.
 
-    A list with several entries is a backtracking choice point; the
-    alternatives are tried in order.
+    This is the only code that decides which rule applies where; a
+    family is complete exactly when it returns None.  A list with
+    several entries is a backtracking choice point; the alternatives are
+    tried in order.
     """
-    a1_rule = RULE_A1 if strategy is Strategy.BASIC else RULE_A1_PLUS
-    a2_rule = RULE_A2 if strategy is Strategy.BASIC else RULE_A2_PLUS
+    basic = strategy is Strategy.BASIC
+    anywhere = a2_anywhere and basic
+    a1_rule = RULE_A1 if basic else RULE_A1_PLUS
+    a2_rule = RULE_A2 if basic else RULE_A2_PLUS
     for i, f in enumerate(fam.members):
-        target = _first_nonunit(f)
-        if target is not None:
-            alts: list[tuple[str, int, Clause, Optional[Literal]]] = [
-                (a1_rule, i, target, lit) for lit in target
-            ]
-            if a2_anywhere and strategy is Strategy.BASIC:
-                for univ in _forall_literals(f):
-                    holder = next(c for c in f if univ in c)
-                    alts.append((RULE_A2, i, holder, univ))
-            return alts
-        univs = _forall_units(f)
-        if univs:
-            if a2_anywhere and strategy is Strategy.BASIC:
+        univs: list[Clause] = []
+        ex: Optional[Clause] = None
+        all_unit = True  # A2+ and A3 need it; only the empty clause breaks it here
+        for c in f.clauses:
+            lits = c.literals
+            if len(lits) == 1:
+                if isinstance(lits[0], ForallLit):
+                    univs.append(c)
+                elif ex is None and isinstance(lits[0], ExistsLit):
+                    ex = c
+            elif lits:
+                alts: list[tuple[str, int, Clause, Optional[Literal]]] = [
+                    (a1_rule, i, c, lit) for lit in lits
+                ]
+                if anywhere:
+                    holders: dict[Literal, Clause] = {}
+                    for d in f.clauses:
+                        for lit in d.literals:
+                            if isinstance(lit, ForallLit):
+                                holders.setdefault(lit, d)
+                    alts.extend((RULE_A2, i, d, lit) for lit, d in holders.items())
+                return alts
+            else:
+                all_unit = False
+        if univs and (basic or all_unit):
+            if anywhere:
                 return [(RULE_A2, i, u, u.literals[0]) for u in univs]
-            u = univs[0]
-            return [(a2_rule, i, u, u.literals[0])]
-        exs = _exists_units(f)
-        if exs and all(c.is_unit for c in f):
-            return [(RULE_A3, i, exs[0], None)]
+            return [(a2_rule, i, univs[0], univs[0].literals[0])]
+        if ex is not None and all_unit:
+            return [(RULE_A3, i, ex, None)]
     return None
+
+
+def is_complete(fam: Family, strategy: Strategy) -> bool:
+    """True iff no rule of the strategy's system applies to any member."""
+    return _plan(fam, strategy, False) is None
 
 
 def _apply_planned(
@@ -430,7 +410,6 @@ def decide_sat(
     *,
     max_nodes: int = 1_000_000,
     a2_anywhere: bool = False,
-    role_complement_clash: bool = True,
 ) -> Verdict:
     """Decide satisfiability of a clause set by depth-first search over
     the derivation tree.
@@ -445,26 +424,37 @@ def decide_sat(
     tree = DerivationTree(nodes=[root])
     depth_bound = f.depth
     max_depth_seen = 0
-
-    def explore(
-        node_id: int, fam: Family, depth: int, changed: tuple[int, ...], measure: tuple
-    ) -> Optional[int]:
-        # ``changed``: the members this node's step rewrote or appended.
-        # The parent was clash-free and every other member is the
-        # parent's own value, so only these can clash.
-        nonlocal max_depth_seen
+    witness: Optional[int] = None
+    # The search keeps its own stack, one entry per open choice point:
+    # (node id, family, depth, measure, the alternatives not yet tried).
+    # A derivation can be thousands of steps long.
+    stack: list[tuple[int, Family, int, tuple, Iterator]] = []
+    # ``changed``: the members the step into this node rewrote or
+    # appended.  The parent was clash-free and every other member is the
+    # parent's own value, so only these can clash.
+    pending: Optional[tuple[int, Family, int, tuple[int, ...], tuple]] = (
+        0, root, 0, (0,), family_measure(root, depth_bound)
+    )
+    while pending is not None:
+        node_id, fam, depth, changed, measure = pending
+        pending = None
         max_depth_seen = max(max_depth_seen, depth)
         members = fam.members
-        if any(
-            is_clash(members[i], role_complements=role_complement_clash)
-            for i in changed
-        ):
+        if any(is_clash(members[i]) for i in changed):
             tree.clash_nodes.append(node_id)
-            return None
-        plan = _plan(fam, strategy, a2_anywhere)
-        if plan is None:
-            return node_id
-        for rule, member, target, lit in plan:
+        else:
+            plan = _plan(fam, strategy, a2_anywhere)
+            if plan is None:
+                witness = node_id
+                break
+            stack.append((node_id, fam, depth, measure, iter(plan)))
+        while pending is None and stack:
+            node_id, fam, depth, measure, alts = stack[-1]
+            step = next(alts, None)
+            if step is None:
+                stack.pop()
+                continue
+            rule, member, target, lit = step
             child = _apply_planned(fam, rule, member, target, lit)
             child_measure = family_measure(child, depth_bound)
             assert child_measure < measure, "termination measure failed to decrease"
@@ -479,12 +469,7 @@ def decide_sat(
                 child_changed = (member, len(child.members) - 1)
             else:
                 child_changed = (member,)
-            found = explore(child_id, child, depth + 1, child_changed, child_measure)
-            if found is not None:
-                return found
-        return None
-
-    witness = explore(0, root, 0, (0,), family_measure(root, depth_bound))
+            pending = (child_id, child, depth + 1, child_changed, child_measure)
     stats = DecisionStats(
         nodes_expanded=len(tree.nodes),
         clashes=len(tree.clash_nodes),
@@ -567,32 +552,64 @@ def replay_trace(trace: dict) -> list[str]:
     Returns a list of human-readable problems; an empty list means the
     trace is internally consistent: each edge's rule application
     reproduces the child family, clash marks are exactly the clashed
-    nodes, and the verdict matches the recorded tree.
+    nodes, and the verdict matches the recorded tree.  Raises
+    :class:`TraceFormatError` when ``trace`` does not have the shape
+    :func:`trace_to_json` writes.
     """
-    problems: list[str] = []
-    strategy = Strategy(trace["strategy"])
-    nodes = [family_from_json(n) for n in trace["nodes"]]
-    for e in trace["edges"]:
-        parent = nodes[e["from"]]
-        target = clause_from_json(e["clause"])
-        lit = literal_from_json(e["literal"]) if e["literal"] is not None else None
-        try:
-            result = _apply_planned(parent, e["rule"], e["member"], target, lit)
-        except (PreconditionError, ValueError) as exc:
-            problems.append(f"edge {e['from']}->{e['to']}: {exc}")
-            continue
-        if result != nodes[e["to"]]:
-            problems.append(
-                f"edge {e['from']}->{e['to']}: replayed family differs from recorded one"
+    if not isinstance(trace, dict):
+        raise TraceFormatError(f"a trace is a JSON object, not {type(trace).__name__}")
+    try:
+        strategy = Strategy(trace["strategy"])
+        nodes = [family_from_json(n) for n in trace["nodes"]]
+        edges = [
+            (
+                e["from"],
+                e["rule"],
+                e["member"],
+                clause_from_json(e["clause"]),
+                literal_from_json(e["literal"]) if e["literal"] is not None else None,
+                e["to"],
             )
-    recorded_clashes = set(trace["clash_nodes"])
+            for e in trace["edges"]
+        ]
+        recorded_clashes = set(trace["clash_nodes"])
+        verdict_sat = trace["verdict"] == "sat"
+    except KeyError as exc:
+        raise TraceFormatError(f"missing field {exc}") from exc
+    except (TypeError, ValueError, RecursionError) as exc:
+        raise TraceFormatError(str(exc)) from exc
+
+    def in_range(i: object, n: int) -> bool:
+        return type(i) is int and 0 <= i < n
+
+    for parent, _, member, _, _, child in edges:
+        if not (
+            in_range(parent, len(nodes))
+            and in_range(child, len(nodes))
+            and in_range(member, len(nodes[parent].members))
+        ):
+            raise TraceFormatError(
+                f"edge {parent!r}->{child!r} (member {member!r}): index out of range"
+            )
+    if not all(in_range(i, len(nodes)) for i in recorded_clashes):
+        raise TraceFormatError("clash node index out of range")
+    problems: list[str] = []
+    for parent, rule, member, target, lit, child in edges:
+        try:
+            result = _apply_planned(nodes[parent], rule, member, target, lit)
+        except (PreconditionError, ValueError) as exc:
+            problems.append(f"edge {parent}->{child}: {exc}")
+            continue
+        if result != nodes[child]:
+            problems.append(
+                f"edge {parent}->{child}: replayed family differs from recorded one"
+            )
     for i, fam in enumerate(nodes):
         clashed = any(is_clash(m) for m in fam.members)
         if clashed != (i in recorded_clashes):
             # Clash marks are only recorded for visited nodes, and every
             # recorded node was visited, so this is a hard mismatch.
             problems.append(f"node {i}: clash mark disagrees with family content")
-    verdict_sat = trace["verdict"] == "sat"
     has_open_complete = any(
         i not in recorded_clashes and is_complete(fam, strategy)
         for i, fam in enumerate(nodes)

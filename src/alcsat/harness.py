@@ -48,6 +48,20 @@ DEFAULT_WEIGHTS: Mapping[str, float] = {
     "forall": 1.0,
 }
 
+# Equal weights give mostly trivial concepts, because top/bot
+# simplification collapses them; these lean on connectives and
+# quantifiers, so the searches backtrack.
+STRUCTURED_WEIGHTS: Mapping[str, float] = {
+    "name": 2.0,
+    "top": 0.3,
+    "bot": 0.3,
+    "not": 1.5,
+    "and": 2.5,
+    "or": 2.5,
+    "exists": 2.0,
+    "forall": 2.0,
+}
+
 
 @dataclass(frozen=True)
 class GenConfig:
@@ -275,6 +289,9 @@ class Report:
                 "basic": self.basic_nodes.to_json(),
                 "plus": self.plus_nodes.to_json(),
             },
+            "plus_fewer_nodes": sum(
+                t.plus_nodes < t.basic_nodes for t in self.trial_log
+            ),
             "seed": self.seed,
         }
 

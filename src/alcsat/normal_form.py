@@ -490,15 +490,6 @@ def complement(lit: Literal) -> Literal:
     raise TypeError(f"not a Literal: {lit!r}")
 
 
-def canonicalize(f: ClauseSet) -> ClauseSet:
-    """Rebuild a clause set into its deterministic normal form.
-
-    Constructors already deduplicate and order, so this is idempotent and
-    mostly useful for values deserialized or assembled elsewhere.
-    """
-    return ClauseSet(Clause(cl.literals) for cl in f)
-
-
 def is_canonical_clause_set(f: ClauseSet) -> bool:
     """True if every nesting level is deduplicated and ordered."""
 
@@ -559,9 +550,11 @@ def literal_from_json(data: dict) -> Literal:
     raise ValueError(f"not a literal object: {data!r}")
 
 
+# Lists, not generators: the constructors' frames stay off the stack
+# while a nested body decodes, so decoding takes five frames a level.
 def clause_from_json(data: list) -> Clause:
-    return Clause(literal_from_json(item) for item in data)
+    return Clause([literal_from_json(item) for item in data])
 
 
 def clause_set_from_json(data: list) -> ClauseSet:
-    return ClauseSet(clause_from_json(item) for item in data)
+    return ClauseSet([clause_from_json(item) for item in data])

@@ -19,6 +19,10 @@ tightest first: ``!`` and quantifier prefixes, then ``&``, then ``|``;
 binary operators associate left.  A quantifier scopes over exactly one
 unary concept, so ``forall R.A & B`` parses as ``(forall R.A) & B``.
 
+Quantifiers and parentheses nest at most :data:`MAX_NESTING` deep;
+deeper input is a :class:`ParseError`.  Runs of ``!`` and chains of
+``&`` / ``|`` do not nest and have no such bound.
+
 Input is UTF-8 but only the ASCII tokens above are meaningful.  All
 functions here are pure over immutable values and safe to call
 concurrently.
@@ -31,6 +35,12 @@ from dataclasses import dataclass
 
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 _KEYWORDS = frozenset({"top", "bot", "forall", "exists"})
+
+# Every stage after the parser (normal form, complements, tableau,
+# model evaluation) recurses once per nested quantifier, and the parser
+# itself once per quantifier or parenthesis; this bound keeps all of
+# them well inside Python's recursion limit.
+MAX_NESTING = 100
 
 
 def _check_identifier(kind: str, value: str) -> None:
@@ -152,6 +162,7 @@ class _Parser:
     def __init__(self, tokens: list[_Token]) -> None:
         self._tokens = tokens
         self._pos = 0
+        self._nesting = 0
 
     def _peek(self) -> _Token:
         return self._tokens[self._pos]
@@ -166,6 +177,20 @@ class _Parser:
         if tok.kind != kind:
             raise ParseError(f"unexpected {tok.text or 'end of input'!r}", tok.offset, (description,))
         return self._advance()
+
+    def _nested(self, parse, tok: _Token) -> Concept:
+        """Parse one level deeper than ``tok``, the quantifier or ``(``
+        that opens it."""
+        if self._nesting == MAX_NESTING:
+            raise ParseError(
+                f"quantifiers and parentheses nested deeper than {MAX_NESTING}",
+                tok.offset,
+                (f"at most {MAX_NESTING} levels of nesting",),
+            )
+        self._nesting += 1
+        node = parse()
+        self._nesting -= 1
+        return node
 
     def concept(self) -> Concept:
         node = self._and()
@@ -199,7 +224,7 @@ class _Parser:
             self._advance()
             role = self._expect("name", "role name")
             self._expect(".", "'.'")
-            body = self._unary()
+            body = self._nested(self._unary, tok)
             return Forall(role.text, body) if tok.text == "forall" else Exists(role.text, body)
         if tok.kind == "keyword" and tok.text == "top":
             self._advance()
@@ -212,7 +237,7 @@ class _Parser:
             return Name(tok.text)
         if tok.kind == "(":
             self._advance()
-            node = self.concept()
+            node = self._nested(self.concept, tok)
             self._expect(")", "')'")
             return node
         raise ParseError(

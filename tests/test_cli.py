@@ -46,6 +46,27 @@ def test_check_long_conjunction_exits_with_a_verdict(capsys):
     assert capsys.readouterr().out.split() == ["SAT", "UNSAT"]
 
 
+def test_check_long_derivation_exits_with_a_verdict(capsys):
+    # 1,200 A1+ steps in a row: the search keeps its own stack.
+    text = " & ".join(f"(A{i} | B{i})" for i in range(1200))
+    assert main(["check", text]) == 0
+    assert capsys.readouterr().out.strip() == "SAT"
+
+
+def test_check_nesting_bound_is_an_input_error(capsys):
+    assert main(["check", "--model", "exists R." * 100 + "A"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "SAT" and len(json.loads(out[1])["domain"]) == 101
+    for text in (
+        "exists R." * 101 + "A",
+        "(" * 101 + "A" + ")" * 101,
+        "exists R." * 3000 + "A",
+        "forall R." * 2000 + "A",
+    ):
+        assert main(["check", text]) == 2
+        assert "nested deeper than 100" in capsys.readouterr().err
+
+
 def test_check_strategy_flag_and_trace_files(tmp_path, capsys):
     trace_json = tmp_path / "trace.json"
     trace_dot = tmp_path / "trace.dot"
@@ -96,6 +117,14 @@ def test_fuzz_clean_batch_exit_0(capsys):
     assert report["seed"] == 7
 
 
+def test_fuzz_structured_counts_trials_where_plus_expands_fewer_nodes(capsys):
+    assert main(["fuzz", "--structured", "--trials", "100", "--max-depth", "5"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["disagreements"] == []
+    assert report["nodes"]["basic"]["max"] > 5
+    assert 0 < report["plus_fewer_nodes"] <= 100
+
+
 def test_fuzz_zero_trials_usage_error(capsys):
     assert main(["fuzz", "--trials", "0"]) == 2
 
@@ -124,6 +153,55 @@ def test_trace_replay_rejects_tampered_trace(tmp_path, capsys):
 
 def test_trace_replay_missing_file_exit_2(capsys):
     assert main(["trace-replay", "/nonexistent/trace.json"]) == 2
+
+
+def test_trace_replay_json_nested_too_deep_exit_2(tmp_path, capsys):
+    trace_path = tmp_path / "t.json"
+    trace_path.write_text("[" * 100_000 + "]" * 100_000)
+    assert main(["trace-replay", str(trace_path)]) == 2
+    assert capsys.readouterr().err.startswith("cannot load trace: ")
+
+
+def _replay_malformed(tmp_path, capsys, change) -> str:
+    """Replay the animal trace after ``change`` and return its stderr,
+    which must be one line, after exit code 2."""
+    trace_path = tmp_path / "t.json"
+    assert main(["check", "--trace", str(trace_path), ANIMAL_TEXT]) == 0
+    trace_path.write_text(json.dumps(change(json.loads(trace_path.read_text()))))
+    capsys.readouterr()
+    assert main(["trace-replay", str(trace_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("malformed trace: ") and err.count("\n") == 1
+    return err
+
+
+def test_trace_replay_rejects_a_json_array(tmp_path, capsys):
+    assert "JSON object" in _replay_malformed(tmp_path, capsys, lambda t: [t])
+
+
+def test_trace_replay_rejects_a_trace_without_edges(tmp_path, capsys):
+    def drop_edges(trace):
+        del trace["edges"]
+        return trace
+
+    assert "'edges'" in _replay_malformed(tmp_path, capsys, drop_edges)
+
+
+def test_trace_replay_rejects_an_unknown_strategy(tmp_path, capsys):
+    def rename_strategy(trace):
+        trace["strategy"] = "fast"
+        return trace
+
+    assert "'fast'" in _replay_malformed(tmp_path, capsys, rename_strategy)
+
+
+def test_trace_replay_rejects_an_edge_index_out_of_range(tmp_path, capsys):
+    for field, value in (("from", 99), ("to", -1)):
+        def point_away(trace):
+            trace["edges"][0][field] = value
+            return trace
+
+        assert "out of range" in _replay_malformed(tmp_path, capsys, point_away)
 
 
 def test_usage_error_exit_2():

@@ -227,10 +227,9 @@ def test_no_clash_on_distinct_units():
     assert not is_clash(cs(cl(A), cl(B)))
 
 
-def test_clash_on_complementary_quantified_units_is_eager_and_optional():
+def test_clash_on_complementary_quantified_units():
     f = cs(cl(ExistsLit("R", cs(cl(A)))), cl(ForallLit("R", cs(cl(NA)))))
     assert is_clash(f)
-    assert not is_clash(f, role_complements=False)
 
 
 def test_empty_member_is_not_a_clash():
@@ -252,6 +251,43 @@ def test_incomplete_when_a3_applies():
     fam = Family((cs(cl(ExistsLit("R", cs(cl(A))))),))
     assert not is_complete(fam, Strategy.BASIC)
     assert not is_complete(fam, Strategy.PLUS)
+
+
+def test_a2_plus_and_a3_need_an_all_unit_member():
+    # The empty clause is not a unit: A2+ and A3 do not apply next to it,
+    # A2 does.
+    fam = Family((cs(cl(), cl(ForallLit("R", cs(cl(A))))),))
+    assert not is_complete(fam, Strategy.BASIC)
+    assert is_complete(fam, Strategy.PLUS)
+    assert is_complete(Family((cs(cl(), cl(ExistsLit("R", cs(cl(A))))),)), Strategy.PLUS)
+
+
+def _reference_complete(fam: Family, strategy: Strategy) -> bool:
+    """Completeness spelled out from the rule preconditions: no member
+    has a clause of two or more literals (A1/A1+), a universal literal
+    (A2) or, all units, a universal unit (A2+) or an existential unit
+    (A3)."""
+    for m in fam.members:
+        clauses = m.clauses
+        if any(len(c) >= 2 for c in clauses):
+            return False
+        all_unit = all(c.is_unit for c in clauses)
+        units = [c.literals[0] for c in clauses if c.is_unit]
+        univ = any(isinstance(l, ForallLit) for l in units)
+        if univ and (strategy is Strategy.BASIC or all_unit):
+            return False
+        if all_unit and any(isinstance(l, ExistsLit) for l in units):
+            return False
+    return True
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_concepts)
+def test_is_complete_matches_the_rule_preconditions_on_every_node(c):
+    f = to_cnf(c)
+    for strategy in Strategy:
+        for fam in decide_sat(f, strategy).tree.nodes:
+            assert is_complete(fam, strategy) == _reference_complete(fam, strategy)
 
 
 # --- decide_sat golden traces ----------------------------------------------
@@ -321,16 +357,6 @@ def test_strategy_agreement_with_oracle(c):
     expected = oracle_sat(c)
     assert decide_sat(f, Strategy.BASIC).satisfiable == expected
     assert decide_sat(f, Strategy.PLUS).satisfiable == expected
-
-
-@settings(max_examples=40, deadline=None)
-@given(small_concepts)
-def test_eager_role_clash_detection_does_not_change_verdicts(c):
-    f = to_cnf(c)
-    for strategy in Strategy:
-        eager = decide_sat(f, strategy).satisfiable
-        lazy = decide_sat(f, strategy, role_complement_clash=False).satisfiable
-        assert eager == lazy
 
 
 @settings(max_examples=40, deadline=None)

@@ -8,6 +8,7 @@ import pytest
 
 from alcsat import harness
 from alcsat.harness import (
+    STRUCTURED_WEIGHTS,
     GenConfig,
     gen_concept,
     run_differential,
@@ -133,14 +134,8 @@ def test_plus_mean_never_exceeds_basic_mean_across_batches():
 
 
 def test_structured_deep_batch_is_clean():
-    # Equal weights produce many trivial concepts; this configuration leans
-    # on connectives and quantifiers so the engines actually backtrack.
-    weights = {
-        "name": 2, "top": 0.3, "bot": 0.3, "not": 1.5,
-        "and": 2.5, "or": 2.5, "exists": 2, "forall": 2,
-    }
     report = run_differential(
-        GenConfig(max_depth=5, connective_weights=weights, seed=11), trials=300
+        GenConfig(max_depth=5, connective_weights=STRUCTURED_WEIGHTS, seed=11), trials=300
     )
     assert report.ok
     assert report.basic_nodes.max > 5

@@ -11,7 +11,6 @@ from alcsat.normal_form import (
     ForallLit,
     Neg,
     Pos,
-    canonicalize,
     clause_set_from_json,
     clause_set_to_concept,
     clause_set_to_json,
@@ -133,12 +132,6 @@ def test_literal_ordering_pos_neg_exists_forall():
 @given(small_concepts)
 def test_cnf_shape_is_canonical(c):
     assert is_canonical_clause_set(to_cnf(c))
-
-
-@given(small_concepts)
-def test_canonicalize_idempotent(c):
-    f = to_cnf(c)
-    assert canonicalize(canonicalize(f)) == canonicalize(f)
 
 
 @settings(max_examples=60, deadline=None)

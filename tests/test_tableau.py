@@ -279,13 +279,9 @@ def test_interpretation_json_shape():
 def test_tableau_checks_on_structured_batch():
     import random
 
-    from alcsat.harness import GenConfig, gen_concept
+    from alcsat.harness import STRUCTURED_WEIGHTS, GenConfig, gen_concept
 
-    weights = {
-        "name": 2, "top": 0.3, "bot": 0.3, "not": 1.5,
-        "and": 2.5, "or": 2.5, "exists": 2, "forall": 2,
-    }
-    cfg = GenConfig(max_depth=4, connective_weights=weights, seed=23)
+    cfg = GenConfig(max_depth=4, connective_weights=STRUCTURED_WEIGHTS, seed=23)
     rng = random.Random(cfg.seed)
     checked = 0
     for _ in range(150):

@@ -16,7 +16,7 @@ import pytest
 from alcsat import normal_form
 from alcsat.clause_model import Family
 from alcsat.engine import Strategy, _apply_planned, _plan, decide_sat
-from alcsat.harness import GenConfig, gen_concept
+from alcsat.harness import STRUCTURED_WEIGHTS, GenConfig, gen_concept
 from alcsat.normal_form import (
     Clause,
     ClauseSet,
@@ -32,13 +32,6 @@ from alcsat.normal_form import (
 )
 from alcsat.syntax import parse_concept
 from conftest import ANIMAL_CNF
-
-# Leans on connectives and quantifiers, so that the searches backtrack.
-STRUCTURED_WEIGHTS = {
-    "name": 2, "top": 0.3, "bot": 0.3, "not": 1.5,
-    "and": 2.5, "or": 2.5, "exists": 2, "forall": 2,
-}
-
 
 def _build_animal_cnf() -> ClauseSet:
     """The animal clause set, built from scratch in a different order."""

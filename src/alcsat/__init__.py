@@ -25,6 +25,7 @@ from alcsat.syntax import (
 )
 from alcsat.normal_form import (
     Clause,
+    ClauseBudgetError,
     ClauseSet,
     ExistsLit,
     ForallLit,
@@ -53,6 +54,7 @@ __all__ = [
     "And",
     "Bottom",
     "Clause",
+    "ClauseBudgetError",
     "ClauseSet",
     "CnfTableau",
     "Concept",

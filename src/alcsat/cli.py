@@ -12,12 +12,15 @@ Subcommands::
 ``check`` prints SAT or UNSAT and exits 0 on SAT, 1 on UNSAT, 2 on input
 error (including quantifiers and parentheses nested deeper than
 ``syntax.MAX_NESTING``), 3 when ``--oracle`` disagrees with the engine,
-4 when the node budget is exhausted.  ``fuzz`` prints the differential
-report JSON (with ``plus_fewer_nodes``, the trials where plus expanded
-fewer nodes than basic) and exits 0 when it is clean and 5 on any
-disagreement.  ``trace-replay`` exits 0 when the recorded trace replays
-exactly, 1 when it does not, and 2 when the file cannot be read or is
-not shaped like a trace (one line on stderr).
+4 when the node budget or the clause budget is exhausted, with one line
+on stderr (the clause budget: a disjunction distributing to more than
+``normal_form.MAX_CLAUSES`` clauses, in the input or in a complement
+the search takes); ``cnf`` exits 4 on the clause budget too.  ``fuzz``
+prints the differential report JSON (with ``plus_fewer_nodes``, the
+trials where plus expanded fewer nodes than basic) and exits 0 when it
+is clean and 5 on any disagreement.  ``trace-replay`` exits 0 when the
+recorded trace replays exactly, 1 when it does not, and 2 when the file
+cannot be read or is not shaped like a trace (one line on stderr).
 
 An argument naming an existing file is read as UTF-8 holding one concept;
 ``#`` starts a line comment.  Configuration is flags only, so runs are
@@ -41,7 +44,7 @@ from alcsat.engine import (
     trace_to_json,
 )
 from alcsat.harness import DEFAULT_WEIGHTS, STRUCTURED_WEIGHTS, GenConfig, run_differential
-from alcsat.normal_form import clause_set_to_json, to_cnf
+from alcsat.normal_form import ClauseBudgetError, clause_set_to_json, to_cnf
 from alcsat.oracle import oracle_sat
 from alcsat.syntax import ParseError, parse_concept
 from alcsat.tableau import extract_tableau, tableau_to_interpretation
@@ -81,18 +84,21 @@ def _cmd_check(args: argparse.Namespace) -> int:
     except _InputError as exc:
         print(exc, file=sys.stderr)
         return EXIT_INPUT_ERROR
-    strategy = Strategy(args.strategy)
-    f = to_cnf(concept)
     try:
-        verdict = decide_sat(
-            f,
-            strategy,
-            max_nodes=args.max_nodes,
-            a2_anywhere=args.a2_anywhere,
-        )
-    except ResourceLimitError as exc:
+        return _check_concept(args, concept)
+    except (ResourceLimitError, ClauseBudgetError) as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE_LIMIT
+
+
+def _check_concept(args: argparse.Namespace, concept) -> int:
+    strategy = Strategy(args.strategy)
+    verdict = decide_sat(
+        to_cnf(concept),
+        strategy,
+        max_nodes=args.max_nodes,
+        a2_anywhere=args.a2_anywhere,
+    )
     print("SAT" if verdict.satisfiable else "UNSAT")
     if args.trace:
         trace = trace_to_json(verdict, strategy)
@@ -122,7 +128,12 @@ def _cmd_cnf(args: argparse.Namespace) -> int:
     except _InputError as exc:
         print(exc, file=sys.stderr)
         return EXIT_INPUT_ERROR
-    print(json.dumps(clause_set_to_json(to_cnf(concept))))
+    try:
+        f = to_cnf(concept)
+    except ClauseBudgetError as exc:
+        print(f"resource limit: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE_LIMIT
+    print(json.dumps(clause_set_to_json(f)))
     return 0
 
 

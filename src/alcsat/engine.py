@@ -1,4 +1,4 @@
-"""Clause-set decision procedure with backtracking and trace recording.
+"""Clause-set decision procedure with backjumping and trace recording.
 
 Rule systems
     basic      A1, A2, A3
@@ -38,6 +38,43 @@ search checks only the members a step changed (the rewritten member,
 and for A3 the appended one): the parent was clash-free, and every other
 member is the parent's own value.
 
+Backjumping (dependency-directed backtracking, as in Horrocks &
+Patel-Schneider 1999).  A choice point is a node on the current path
+whose plan has several alternatives; it is named by its position on the
+search stack, and a set of choice points is an int bitmask over those
+positions.  Each node has, per member, a map from clause to the set of
+choice points whose picks the clause was derived from; a missing entry
+is the empty set, which is what every input clause has.  The maps of a
+node are computed from its parent's only when a failure below needs
+them, so a path that never fails costs no bookkeeping.  A step adds
+entries only for the clauses it adds to a member, and copies that
+member's map only then:
+
+- the unit an A1/A1+ pick at ``c`` makes from ``cl``: ``deps(cl) | c``;
+- a clause A1+ strips the complement from, ``d``: ``deps(d) | deps(cl)
+  | c``;
+- a clause whose existentials A2/A2+ merge the universal of clause
+  ``u`` into, ``d``: ``deps(d) | deps(u)``, and ``| c`` when the step is
+  an ``a2_anywhere`` pick;
+- every clause of the member A3 peels off existential unit ``e``:
+  ``deps(e)``;
+- a clause the member already holds keeps its own set.
+
+A clash's set is the set of the empty clause, or the union of the sets
+of the two complementary units.  The failure passes up the stack: at a
+choice point not in its set, the point's untried alternatives are
+skipped and the set passes on (a backjump); otherwise the set minus the
+point is added to the point's accumulated set, and once its alternatives
+are exhausted the point fails with that accumulated set plus the sets of
+the clauses it branched on.  Sound because every clause is a
+consequence of the input and of the picks its set names: a clash whose
+set misses ``c`` is derived from picks all made above ``c``, which every
+alternative of ``c`` keeps, so no subtree below ``c`` holds a complete
+clash-free family (that family would be satisfiable, and satisfy the
+picks on its path).  A cut subtree holds no witness, so the verdict and
+the witness family are those of the chronological search, and the
+recorded tree is that search's tree with unsatisfiable subtrees cut out.
+
 Termination is witnessed by an executable measure: members are stratified
 by maximum quantifier nesting depth, and per stratum the triple
 (universal-literal occurrences, sum of clause sizes beyond one,
@@ -56,7 +93,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator, Optional
+from collections.abc import Mapping
+from types import MappingProxyType
+from typing import Optional
 
 from alcsat.clause_model import Family, family_to_json, family_from_json
 from alcsat.normal_form import (
@@ -158,6 +197,20 @@ def apply_a1_plus(f: ClauseSet, cl: Clause, lit: Literal) -> ClauseSet:
     return ClauseSet(out)
 
 
+def _merged(c: Clause, univ: ForallLit) -> Clause:
+    """``c`` with ``univ``'s body merged into each of its existential
+    literals of ``univ``'s role (``c`` itself when it has none)."""
+    role = univ.role
+    if not any(isinstance(l, ExistsLit) and l.role == role for l in c.literals):
+        return c
+    return Clause(
+        ExistsLit(role, univ.body.union(l.body))
+        if isinstance(l, ExistsLit) and l.role == role
+        else l
+        for l in c.literals
+    )
+
+
 def apply_a2(f: ClauseSet, univ: Literal) -> ClauseSet:
     """Consume a universal literal: drop clauses holding it, merge its
     body into every same-role existential literal."""
@@ -165,15 +218,7 @@ def apply_a2(f: ClauseSet, univ: Literal) -> ClauseSet:
         raise PreconditionError("A2 consumes a universal literal")
     if not any(univ in c for c in f):
         raise PreconditionError("universal literal does not occur")
-
-    def merge(l: Literal) -> Literal:
-        if isinstance(l, ExistsLit) and l.role == univ.role:
-            return ExistsLit(l.role, univ.body.union(l.body))
-        return l
-
-    return ClauseSet(
-        Clause(merge(l) for l in c) for c in f if univ not in c
-    )
+    return ClauseSet(_merged(c, univ) for c in f if univ not in c)
 
 
 def apply_a2_plus(f: ClauseSet, univ_unit: Clause) -> ClauseSet:
@@ -231,6 +276,26 @@ def is_clash(f: ClauseSet) -> bool:
     return any(complement(lit) in quantified for lit in quantified)
 
 
+def _clash_deps(f: ClauseSet, deps: Mapping[Clause, int]) -> int:
+    """Dependency set of the clash in the clashed member ``f``: the set
+    of its empty clause, or the union of the sets of two complementary
+    units.  Of several clashes, the least set as an integer, which is the
+    one whose newest choice point is oldest: it jumps back furthest."""
+    found: list[int] = []
+    units: dict[Literal, Clause] = {}
+    for c in f.clauses:
+        lits = c.literals
+        if not lits:
+            found.append(deps.get(c, 0))
+        elif len(lits) == 1:
+            units[lits[0]] = c
+    for lit, c in units.items():
+        other = units.get(complement(lit))
+        if other is not None:
+            found.append(deps.get(c, 0) | deps.get(other, 0))
+    return min(found)
+
+
 # --- Derivation trees and verdicts ---------------------------------------
 
 
@@ -272,8 +337,13 @@ class TraceEdge:
 
 @dataclass(slots=True)
 class DerivationTree:
-    """Every family node materialized during the search, including clashed
-    dead ends, in depth-first visit order (the root is node 0)."""
+    """Every family node the search visited, including clashed dead ends,
+    in depth-first visit order (the root is node 0).
+
+    The search backjumps, so this is not every alternative of every
+    choice point: it is the chronological depth-first tree with the
+    subtrees cut out that backjumping proved to hold no complete
+    clash-free family."""
 
     nodes: list[Family] = field(default_factory=list)
     edges: list[TraceEdge] = field(default_factory=list)
@@ -285,6 +355,7 @@ class DecisionStats:
     nodes_expanded: int
     clashes: int
     max_depth: int
+    backjumps: int  # choice points whose untried alternatives were skipped
 
 
 @dataclass(slots=True)
@@ -404,6 +475,63 @@ def _apply_planned(
     raise ValueError(f"unknown rule {rule!r}")
 
 
+# The dependency map of a member none of whose clauses depends on a pick.
+_NO_DEPS: Mapping[Clause, int] = MappingProxyType({})
+
+
+def _step_deps(
+    rule: str, f: ClauseSet, deps: Mapping[Clause, int], target: Clause, lit: Literal, pick: int
+) -> Mapping[Clause, int]:
+    """Dependency map of member ``f`` after an A1/A1+/A2/A2+ step on it,
+    ``pick`` the bit of the step's choice point (0 for a forced step).
+
+    Only the clauses the step adds to ``f`` get an entry, each the set
+    of the clauses it is derived from plus ``pick``; a clause ``f``
+    already holds keeps its own.  Returns ``deps`` itself when the step
+    adds no entry, and a copy otherwise.
+    """
+    fresh: dict[Clause, int] = {}
+    if rule == RULE_A1 or rule == RULE_A1_PLUS:
+        picked = deps.get(target, 0) | pick
+        unit = Clause((lit,))
+        if unit not in f:
+            fresh[unit] = picked
+        if rule == RULE_A1_PLUS:
+            comp = complement(lit)
+            for c in f.clauses:
+                lits = c.literals
+                if comp in lits and lit not in lits:
+                    stripped = c.without(comp)
+                    if stripped not in f:
+                        fresh.setdefault(stripped, deps.get(c, 0) | picked)
+    else:
+        consumed = deps.get(target, 0) | pick
+        for c in f.clauses:
+            if lit not in c.literals:
+                merged = _merged(c, lit)
+                if merged is not c and merged not in f:
+                    fresh.setdefault(merged, deps.get(c, 0) | consumed)
+    if not fresh:
+        return deps
+    return {**deps, **fresh}
+
+
+def _child_deps(fam: Family, deps: tuple, step: tuple, pick: int) -> tuple:
+    """Dependency maps of the family ``step`` makes from ``fam``, whose
+    maps are ``deps``; ``pick`` is the bit of ``fam``'s choice point, 0
+    when its step is forced."""
+    rule, member, target, lit = step
+    if rule == RULE_A3:
+        peeled = deps[member].get(target, 0)
+        body = target.literals[0].body
+        return deps + ((dict.fromkeys(body.clauses, peeled) if peeled else _NO_DEPS),)
+    old = deps[member]
+    if not (pick or old):
+        return deps  # a forced step among empty sets adds none
+    new = _step_deps(rule, fam.members[member], old, target, lit, pick)
+    return deps if new is old else deps[:member] + (new,) + deps[member + 1:]
+
+
 def decide_sat(
     f: ClauseSet,
     strategy: Strategy = Strategy.PLUS,
@@ -412,49 +540,101 @@ def decide_sat(
     a2_anywhere: bool = False,
 ) -> Verdict:
     """Decide satisfiability of a clause set by depth-first search over
-    the derivation tree.
+    the derivation tree, backjumping over choice points a clash does not
+    depend on.
 
     Returns a satisfiable verdict with the first complete clash-free
-    family found, or an unsatisfiable one after exhausting every branch.
-    The tree records every expanded node including clashed dead ends.
+    family found, or an unsatisfiable one once every branch is closed.
+    The tree records every visited node including clashed dead ends.
     Raises :class:`ResourceLimitError` once more than ``max_nodes``
-    families have been materialized.
+    families have been materialized, and
+    :class:`~alcsat.normal_form.ClauseBudgetError` when a complement it
+    takes would exceed the clause budget.
     """
     root = Family((f,))
     tree = DerivationTree(nodes=[root])
     depth_bound = f.depth
     max_depth_seen = 0
+    backjumps = 0
     witness: Optional[int] = None
-    # The search keeps its own stack, one entry per open choice point:
-    # (node id, family, depth, measure, the alternatives not yet tried).
-    # A derivation can be thousands of steps long.
-    stack: list[tuple[int, Family, int, tuple, Iterator]] = []
+    # The search keeps its own stack, one entry per node on the current
+    # path that has a plan: [node id, family, depth, measure, dependency
+    # maps (None until computed), plan, index of the next alternative,
+    # bit, accumulated set].  A derivation can be thousands of steps
+    # long.  Each entry's node is the child of the entry below by that
+    # entry's latest step.  The entry at stack position p has bit 1 << p
+    # when its plan has several alternatives (a choice point), and 0
+    # when its one step is forced.
+    stack: list[list] = []
+
+    def deps_at(level: int) -> tuple:
+        """The dependency maps of the node at ``level`` on the current
+        path: ``stack[level]``'s node, or at ``len(stack)`` the child the
+        top entry's latest step made.  They are computed only once a
+        failure needs them, down from the newest level that has them, so
+        a path that never fails costs nothing."""
+        i = min(level, len(stack) - 1)
+        while stack[i][4] is None:
+            i -= 1
+        deps = stack[i][4]
+        while i < level:
+            _, fam, _, _, _, plan, k, bit, _ = stack[i]
+            deps = _child_deps(fam, deps, plan[k - 1], bit)
+            i += 1
+            if i < len(stack):
+                stack[i][4] = deps
+        return deps
+
     # ``changed``: the members the step into this node rewrote or
     # appended.  The parent was clash-free and every other member is the
     # parent's own value, so only these can clash.
-    pending: Optional[tuple[int, Family, int, tuple[int, ...], tuple]] = (
-        0, root, 0, (0,), family_measure(root, depth_bound)
-    )
+    pending: Optional[tuple] = (0, root, 0, (0,), family_measure(root, depth_bound))
+    # The dependency set of the failure being passed up, or None while
+    # the search goes down.
+    conflict: Optional[int] = None
     while pending is not None:
         node_id, fam, depth, changed, measure = pending
         pending = None
         max_depth_seen = max(max_depth_seen, depth)
         members = fam.members
-        if any(is_clash(members[i]) for i in changed):
-            tree.clash_nodes.append(node_id)
+        for i in changed:
+            if is_clash(members[i]):
+                tree.clash_nodes.append(node_id)
+                deps = deps_at(len(stack))[i] if stack else _NO_DEPS
+                conflict = _clash_deps(members[i], deps)
+                break
         else:
             plan = _plan(fam, strategy, a2_anywhere)
             if plan is None:
                 witness = node_id
                 break
-            stack.append((node_id, fam, depth, measure, iter(plan)))
+            bit = 1 << len(stack) if len(plan) > 1 else 0
+            deps = None if stack else (_NO_DEPS,)
+            stack.append([node_id, fam, depth, measure, deps, plan, 0, bit, 0])
         while pending is None and stack:
-            node_id, fam, depth, measure, alts = stack[-1]
-            step = next(alts, None)
-            if step is None:
+            entry = stack[-1]
+            node_id, fam, depth, measure, _, plan, k, bit, acc = entry
+            if conflict is not None:
+                if not conflict & bit:
+                    # The failure does not depend on this point's pick,
+                    # so each other alternative fails the same way.
+                    if k < len(plan):
+                        backjumps += 1
+                    stack.pop()
+                    continue
+                entry[8] = acc = acc | (conflict ^ bit)
+                conflict = None
+            if k == len(plan):
+                # Every alternative failed: because of the picks behind
+                # the failures, and of those behind the branched clauses.
+                deps = deps_at(len(stack) - 1)
                 stack.pop()
+                conflict = acc
+                for _, member, target, _ in plan:
+                    conflict |= deps[member].get(target, 0)
                 continue
-            rule, member, target, lit = step
+            entry[6] = k + 1
+            rule, member, target, lit = plan[k]
             child = _apply_planned(fam, rule, member, target, lit)
             child_measure = family_measure(child, depth_bound)
             assert child_measure < measure, "termination measure failed to decrease"
@@ -474,6 +654,7 @@ def decide_sat(
         nodes_expanded=len(tree.nodes),
         clashes=len(tree.clash_nodes),
         max_depth=max_depth_seen,
+        backjumps=backjumps,
     )
     return Verdict(witness is not None, witness, tree, stats)
 

@@ -37,8 +37,12 @@ un-interned value can exist.  Values are immutable; assigning an
 attribute raises.
 
 The distribution step is the naive one and can blow up exponentially
-in clause count; see the README for the trade-off.  The conversions
-keep their own stacks, so deep nesting needs no call stack.
+in clause count; see the README for the trade-off.  A disjunction whose
+distribution would yield more than :data:`MAX_CLAUSES` clauses raises
+:class:`ClauseBudgetError` before any of them is built, wherever it
+occurs: in the input, or in a quantifier body that :func:`complement`
+negates.  The conversions keep their own stacks, so deep nesting needs
+no call stack.
 
 Everything here is pure over immutable values and concurrently callable;
 a lock makes interning a new value atomic.
@@ -50,6 +54,7 @@ import threading
 import weakref
 from _weakref import _remove_dead_weakref
 from functools import lru_cache, partial
+from math import prod
 from operator import attrgetter
 from typing import Iterable, Iterator, Union
 
@@ -278,6 +283,23 @@ EMPTY_CLAUSE_SET = ClauseSet()
 FALSE_CLAUSE_SET = ClauseSet((EMPTY_CLAUSE,))
 
 
+#: The most clauses one disjunction may distribute to.  The largest
+#: normal form of the tests and the benchmark, the 3,000-term ``&``
+#: chain, has 3,001 clauses; their largest distribution, 144.
+MAX_CLAUSES = 10_000
+
+
+class ClauseBudgetError(Exception):
+    """Distributing a disjunction would exceed :data:`MAX_CLAUSES`
+    clauses; ``clauses`` is the product of its disjuncts' clause counts."""
+
+    def __init__(self, clauses: int) -> None:
+        super().__init__(
+            f"a disjunction distributes to {clauses} clauses, over the budget of {MAX_CLAUSES}"
+        )
+        self.clauses = clauses
+
+
 def to_nnf(c: Concept) -> Concept:
     """Push negations down to names and simplify ``top``/``bot`` away.
 
@@ -414,6 +436,9 @@ def _clauses_of_nnf(c: Concept) -> tuple[Clause, ...]:
             # built once rather than one literal longer per disjunct.
             parts = done[-item:]
             del done[-item:]
+            sizes = [len(part) for part in parts if len(part) != 1]
+            if 0 not in sizes and prod(sizes) > MAX_CLAUSES:
+                raise ClauseBudgetError(prod(sizes))
             single = [part[0].literals for part in parts if len(part) == 1]
             clauses = (Clause(lit for lits in single for lit in lits),)
             for part in parts:
@@ -429,7 +454,11 @@ def _clauses_of_nnf(c: Concept) -> tuple[Clause, ...]:
 
 
 def to_cnf(c: Concept) -> ClauseSet:
-    """Transform any concept into its canonical clause-set normal form."""
+    """Transform any concept into its canonical clause-set normal form.
+
+    Raises :class:`ClauseBudgetError` when a disjunction in it would
+    distribute to more than :data:`MAX_CLAUSES` clauses.
+    """
     return ClauseSet(_clauses_of_nnf(to_nnf(c)))
 
 
@@ -478,6 +507,8 @@ def complement(lit: Literal) -> Literal:
     double complement is semantically (not necessarily syntactically)
     equivalent to the original.  Results are cached (a quantified
     complement costs a clause-set conversion), in a bounded cache.
+    Raises :class:`ClauseBudgetError` when that conversion would exceed
+    the clause budget.
     """
     if isinstance(lit, Pos):
         return Neg(lit.name)

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 _KEYWORDS = frozenset({"top", "bot", "forall", "exists"})
@@ -126,8 +127,7 @@ class ParseError(Exception):
         self.expected = expected
 
 
-@dataclass(frozen=True, slots=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "name", "keyword", punctuation itself, or "end"
     text: str
     offset: int  # 1-based

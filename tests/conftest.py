@@ -5,7 +5,11 @@ from __future__ import annotations
 import hypothesis.strategies as st
 import pytest
 
+from functools import cache
+from typing import Optional
+
 from alcsat.clause_model import Family, FamilyEdge
+from alcsat.engine import Strategy, _apply_planned, _plan
 from alcsat.normal_form import (
     Clause,
     ClauseSet,
@@ -13,6 +17,7 @@ from alcsat.normal_form import (
     ForallLit,
     Neg,
     Pos,
+    complement,
 )
 from alcsat.syntax import And, Bottom, Exists, Forall, Name, Not, Or, Top
 
@@ -116,6 +121,52 @@ ANIMAL_PLUS_EDGES = [
 ANIMAL_PLUS_CLASHES = [4]
 
 
+# --- reference search --------------------------------------------------------
+
+
+def clashed(m: ClauseSet) -> bool:
+    """The clash condition as defined: the empty clause, or a unit whose
+    complement is a unit too."""
+    units = {c.literals[0] for c in m if c.is_unit}
+    return any(c.is_empty for c in m) or any(complement(lit) in units for lit in units)
+
+
+def chronological_search(
+    f: ClauseSet, strategy: Strategy, a2_anywhere: bool = False
+) -> tuple[Optional[int], list[Family], list[int]]:
+    """The search as the calculus defines it: depth first, every member
+    of every node clash-checked, every alternative of a failed choice
+    point tried in order (no backjumping).  Returns (witness node or
+    None, visited nodes, clash nodes)."""
+    nodes: list[Family] = [Family((f,))]
+    clashes: list[int] = []
+
+    def explore(node_id: int) -> Optional[int]:
+        fam = nodes[node_id]
+        if any(clashed(m) for m in fam.members):
+            clashes.append(node_id)
+            return None
+        plan = _plan(fam, strategy, a2_anywhere)
+        if plan is None:
+            return node_id
+        for rule, member, target, lit in plan:
+            nodes.append(_apply_planned(fam, rule, member, target, lit))
+            witness = explore(len(nodes) - 1)
+            if witness is not None:
+                return witness
+        return None
+
+    return explore(0), nodes, clashes
+
+
+def successor_family(n: int) -> str:
+    """``n`` independent existentials with a choice each, next to an
+    unsatisfiable one: a search that backtracks chronologically through
+    every choice expands 3^n nodes."""
+    parts = [f"exists R.(A{i} | B{i} | C{i})" for i in range(n)]
+    return " & ".join(parts + ["exists S.((E & !E) | (F & !F))"])
+
+
 # --- hypothesis strategies -------------------------------------------------
 
 GEN_NAMES = ["A", "B", "C", "D"]
@@ -147,3 +198,63 @@ def animal_concept():
     from alcsat.syntax import parse_concept
 
     return parse_concept(ANIMAL_TEXT)
+
+
+# --- random modal 3-CNF --------------------------------------------------------
+
+
+def modal_3cnf(rng, clauses: int) -> tuple[str, bool]:
+    """A random modal 3-CNF instance in the style of Patel-Schneider &
+    Sebastiani 2003, as concept text, with its satisfiability decided by
+    brute force.
+
+    ``clauses`` clauses of three literals over the names A, B, C and the
+    one role R, at depth 1.  A literal is a name with probability 1/2,
+    otherwise ``exists R.(...)`` or ``forall R.(...)`` over a clause of
+    three names; every literal and inner name is negated with
+    probability 1/2.  At depth 1 a model is a valuation of the names at
+    the root and the set of valuations its R-successors take, so the
+    brute force tries all 8 * 2^8 of them.
+    """
+
+    def name() -> tuple[bool, int]:
+        return rng.random() < 0.5, rng.randrange(3)
+
+    def literal() -> tuple:
+        negated = rng.random() < 0.5
+        if rng.random() < 0.5:
+            return negated, "name", rng.randrange(3)
+        return negated, rng.choice(("exists", "forall")), (name(), name(), name())
+
+    instance = [(literal(), literal(), literal()) for _ in range(clauses)]
+
+    @cache
+    def worlds(inner) -> int:
+        """Bit v set: valuation v (bit i: name i true) satisfies ``inner``."""
+        return sum(1 << v for v in range(8) if any(bool(v >> i & 1) != neg for neg, i in inner))
+
+    def holds(lit, root: int, successors: int) -> bool:
+        negated, kind, payload = lit
+        if kind == "name":
+            value = bool(root >> payload & 1)
+        elif kind == "exists":
+            value = bool(successors & worlds(payload))
+        else:
+            value = not successors & ~worlds(payload) & 0xFF
+        return value != negated
+
+    satisfiable = any(
+        all(any(holds(lit, root, successors) for lit in clause) for clause in instance)
+        for root in range(8)
+        for successors in range(256)
+    )
+
+    def text(lit) -> str:
+        negated, kind, payload = lit
+        if kind == "name":
+            body = "ABC"[payload]
+        else:
+            body = f"{kind} R.(" + " | ".join(("!" if n else "") + "ABC"[i] for n, i in payload) + ")"
+        return ("!" if negated else "") + body
+
+    return " & ".join("(" + " | ".join(map(text, c)) + ")" for c in instance), satisfiable

@@ -53,6 +53,21 @@ def test_check_long_derivation_exits_with_a_verdict(capsys):
     assert capsys.readouterr().out.strip() == "SAT"
 
 
+def test_check_clause_budget_exits_4(capsys):
+    # Distributing the input would make 2^22 clauses.
+    pairs = " | ".join(f"(A{i} & B{i})" for i in range(22))
+    assert main(["check", pairs]) == 4
+    assert main(["cnf", pairs]) == 4
+    # The search complements the existential: 2^14 clauses.
+    body = " & ".join(f"(A{i} | B{i})" for i in range(14))
+    assert main(["check", f"exists R.({body})"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 3
+    assert all(line.startswith("resource limit: ") and "budget" in line for line in lines)
+
+
 def test_check_nesting_bound_is_an_input_error(capsys):
     assert main(["check", "--model", "exists R." * 100 + "A"]) == 0
     out = capsys.readouterr().out.splitlines()

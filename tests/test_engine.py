@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 
@@ -27,6 +29,7 @@ from alcsat.engine import (
     trace_to_json,
     witness_path,
     _apply_planned,
+    _clash_deps,
     _clause_set_depth,
 )
 from alcsat.normal_form import (
@@ -39,6 +42,7 @@ from alcsat.normal_form import (
     to_cnf,
 )
 from alcsat.oracle import oracle_sat
+from alcsat.syntax import parse_concept
 from conftest import (
     A,
     ANIMAL_BASIC_CLASHES,
@@ -55,9 +59,12 @@ from conftest import (
     FA_NOT_LEG,
     FA_NOT_WING,
     NA,
+    chronological_search,
     cl,
     cs,
+    modal_3cnf,
     small_concepts,
+    successor_family,
 )
 
 
@@ -463,3 +470,97 @@ def test_dot_export_mentions_every_node_and_rule():
     assert "doublecircle" in dot
     assert 'label="A1+ m0: Animal | Black"' in dot
     assert dot.count("A3 m0:") == 2
+
+
+# --- backjumping ---------------------------------------------------------------
+
+#: (strategy, a2_anywhere): the rule systems, and basic with A2 picks.
+MODES = [(Strategy.PLUS, False), (Strategy.BASIC, False), (Strategy.BASIC, True)]
+
+
+def _is_subsequence(short: list, long: list) -> bool:
+    rest = iter(long)
+    return all(any(x == y for y in rest) for x in short)
+
+
+def _assert_prunes_only_failed_subtrees(f, strategy, a2_anywhere) -> int:
+    verdict = decide_sat(f, strategy, a2_anywhere=a2_anywhere)
+    witness, nodes, _ = chronological_search(f, strategy, a2_anywhere)
+    assert verdict.satisfiable == (witness is not None)
+    if witness is not None:
+        assert verdict.witness_family == nodes[witness]
+    assert len(verdict.tree.nodes) <= len(nodes)
+    assert _is_subsequence(verdict.tree.nodes, nodes)
+    return len(nodes) - len(verdict.tree.nodes)
+
+
+def test_backjumping_cuts_only_subtrees_without_a_witness():
+    # Against the search without backjumping: the same verdict and
+    # witness family, and the visited nodes are the reference's in the
+    # same order, some left out.
+    rng = random.Random(4)
+    pruned = 0
+    for clauses in range(4, 11):
+        for _ in range(3):
+            text, sat = modal_3cnf(rng, clauses)
+            f = to_cnf(parse_concept(text))
+            for strategy, anywhere in MODES:
+                pruned += _assert_prunes_only_failed_subtrees(f, strategy, anywhere)
+    for n in range(1, 5):
+        f = to_cnf(parse_concept(successor_family(n)))
+        for strategy, anywhere in MODES:
+            pruned += _assert_prunes_only_failed_subtrees(f, strategy, anywhere)
+    assert pruned > 1000
+
+
+def test_successor_family_grows_linearly():
+    # A search that backtracks chronologically expands 3^n nodes here.
+    for n in range(1, 8):
+        f = to_cnf(parse_concept(successor_family(n)))
+        for strategy, anywhere in MODES:
+            verdict = decide_sat(f, strategy, a2_anywhere=anywhere)
+            assert not verdict.satisfiable
+            assert verdict.stats.backjumps > 0
+            expected = 2 * n + (4 if strategy is Strategy.PLUS else 14)
+            assert verdict.stats.nodes_expanded == expected
+
+
+def test_backjumps_are_zero_on_the_animal_goldens():
+    for strategy in Strategy:
+        assert decide_sat(ANIMAL_CNF, strategy).stats.backjumps == 0
+
+
+def test_pruned_unsat_trace_replays():
+    f = to_cnf(parse_concept(successor_family(3)))
+    for strategy in Strategy:
+        verdict = decide_sat(f, strategy)
+        _, nodes, _ = chronological_search(f, strategy)
+        assert len(verdict.tree.nodes) < len(nodes)
+        trace = trace_to_json(verdict, strategy)
+        assert trace["verdict"] == "unsat"
+        assert replay_trace(trace) == []
+
+
+def test_verdicts_match_brute_force_on_modal_3cnf():
+    rng = random.Random(18)
+    runs = 0
+    for clauses in range(4, 19):
+        for _ in range(3):
+            text, sat = modal_3cnf(rng, clauses)
+            f = to_cnf(parse_concept(text))
+            modes = MODES if clauses <= 10 else MODES[:1]
+            for strategy, anywhere in modes:
+                assert decide_sat(f, strategy, a2_anywhere=anywhere).satisfiable == sat
+                runs += 1
+    assert runs == 7 * 3 * 3 + 8 * 3
+
+
+def test_clash_dependency_set_is_the_least_of_the_members_clashes():
+    empty = cl()
+    member = cs(cl(A), cl(NA), empty, cl(B))
+    deps = {cl(A): 0b001, cl(NA): 0b100, empty: 0b010}
+    assert _clash_deps(member, deps) == 0b010
+    deps[empty] = 0b1000
+    assert _clash_deps(member, deps) == 0b101
+    ex, fa = ExistsLit("R", cs(cl(A))), ForallLit("R", cs(cl(NA)))
+    assert _clash_deps(cs(cl(ex), cl(fa)), {cl(fa): 0b10}) == 0b10

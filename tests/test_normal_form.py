@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 
 from alcsat.normal_form import (
     EMPTY_CLAUSE_SET,
     FALSE_CLAUSE_SET,
+    MAX_CLAUSES,
+    ClauseBudgetError,
     ExistsLit,
     ForallLit,
     Neg,
@@ -93,6 +96,29 @@ def test_cnf_constants_and_residuals():
     assert to_cnf(Bottom()) == FALSE_CLAUSE_SET
     assert to_cnf(Exists("R", Top())) == cs(cl(ExistsLit("R", EMPTY_CLAUSE_SET)))
     assert to_cnf(Forall("R", Bottom())) == cs(cl(ForallLit("R", FALSE_CLAUSE_SET)))
+
+
+def _pairs(k: int) -> str:
+    """``(A0 & B0) | ... | (Ak-1 & Bk-1)``: 2^k clauses in clause-set form."""
+    return " | ".join(f"(A{i} & B{i})" for i in range(k))
+
+
+def test_cnf_clause_budget():
+    # Above the largest normal form of the tests and the benchmark, the
+    # 3,001 clauses of a 3,000-term & chain.
+    assert 3_001 < MAX_CLAUSES < 2**22
+    assert len(to_cnf(parse_concept(_pairs(10)))) == 2**10
+    # Raised before the distribution is built: 2^22 clauses would take
+    # minutes.
+    with pytest.raises(ClauseBudgetError) as err:
+        to_cnf(parse_concept(_pairs(22)))
+    assert err.value.clauses == 2**22
+    # A disjunct equivalent to top absorbs the rest: nothing to build.
+    assert to_cnf(parse_concept(_pairs(22) + " | top")) == EMPTY_CLAUSE_SET
+    # Complementing exists R.((A0 | B0) & ...) distributes its negation.
+    body = " & ".join(f"(A{i} | B{i})" for i in range(14))
+    with pytest.raises(ClauseBudgetError):
+        complement(to_cnf(parse_concept(f"exists R.({body})")).clauses[0].literals[0])
 
 
 def test_complement_of_names():

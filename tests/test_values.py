@@ -14,8 +14,7 @@ import threading
 import pytest
 
 from alcsat import normal_form
-from alcsat.clause_model import Family
-from alcsat.engine import Strategy, _apply_planned, _plan, decide_sat
+from alcsat.engine import Strategy, decide_sat
 from alcsat.harness import STRUCTURED_WEIGHTS, GenConfig, gen_concept
 from alcsat.normal_form import (
     Clause,
@@ -31,7 +30,7 @@ from alcsat.normal_form import (
     to_cnf,
 )
 from alcsat.syntax import parse_concept
-from conftest import ANIMAL_CNF
+from conftest import ANIMAL_CNF, chronological_search, modal_3cnf, successor_family
 
 def _build_animal_cnf() -> ClauseSet:
     """The animal clause set, built from scratch in a different order."""
@@ -81,33 +80,10 @@ def test_stored_fields_match_the_structure():
         f.clauses = ()
 
 
-def _modal_cnf(rng: random.Random, clauses: int) -> str:
-    """Random modal 3-CNF text over A, B, C and one role, at depth 1."""
-
-    def name() -> str:
-        return ("!" if rng.random() < 0.5 else "") + rng.choice("ABC")
-
-    def literal() -> str:
-        if rng.random() < 0.5:
-            return name()
-        quant = rng.choice(("forall", "exists"))
-        text = f"{quant} R.({name()} | {name()} | {name()})"
-        return ("!" if rng.random() < 0.5 else "") + text
-
-    return " & ".join(
-        f"({literal()} | {literal()} | {literal()})" for _ in range(clauses)
-    )
-
-
-def _successor_family(n: int) -> str:
-    parts = [f"exists R.(A{i} | B{i} | C{i})" for i in range(n)]
-    return " & ".join(parts + ["exists S.((E & !E) | (F & !F))"])
-
-
 def test_every_search_node_is_canonical():
     rng = random.Random(20030118)
-    texts = [_modal_cnf(rng, clauses) for clauses in (4, 6, 8) for _ in range(6)]
-    texts += [_successor_family(n) for n in (1, 2, 3)]
+    texts = [modal_3cnf(rng, clauses)[0] for clauses in range(4, 13) for _ in range(4)]
+    texts += [successor_family(n) for n in range(1, 7)]
     nodes = 0
     for text in texts:
         for strategy in Strategy:
@@ -142,38 +118,6 @@ def test_intern_table_is_weak():
     assert len(normal_form._INTERN) <= before
 
 
-def _clashed(m: ClauseSet) -> bool:
-    """The clash condition as defined: the empty clause, or a unit whose
-    complement is a unit too."""
-    units = {c.literals[0] for c in m if c.is_unit}
-    return any(c.is_empty for c in m) or any(complement(lit) in units for lit in units)
-
-
-def _full_check_search(f: ClauseSet, strategy: Strategy) -> tuple[bool, int, list[int]]:
-    """The search with every member of every node clash-checked, as it
-    was before the incremental check.  Returns (satisfiable, nodes, clash
-    nodes)."""
-    nodes: list[Family] = [Family((f,))]
-    clashes: list[int] = []
-
-    def explore(node_id: int) -> bool:
-        fam = nodes[node_id]
-        if any(_clashed(m) for m in fam.members):
-            clashes.append(node_id)
-            return False
-        plan = _plan(fam, strategy, False)
-        if plan is None:
-            return True
-        for rule, member, target, lit in plan:
-            nodes.append(_apply_planned(fam, rule, member, target, lit))
-            if explore(len(nodes) - 1):
-                return True
-        return False
-
-    sat = explore(0)
-    return sat, len(nodes), clashes
-
-
 def test_incremental_clash_check_matches_full_check_on_a_batch():
     cfg = GenConfig(max_depth=5, connective_weights=STRUCTURED_WEIGHTS, seed=7)
     rng = random.Random(cfg.seed)
@@ -182,12 +126,12 @@ def test_incremental_clash_check_matches_full_check_on_a_batch():
         f = to_cnf(gen_concept(cfg, rng))
         for strategy in Strategy:
             verdict = decide_sat(f, strategy)
-            expected = _full_check_search(f, strategy)
+            witness, nodes, clash_nodes = chronological_search(f, strategy)
             assert (
                 verdict.satisfiable,
                 verdict.stats.nodes_expanded,
                 verdict.tree.clash_nodes,
-            ) == expected
+            ) == (witness is not None, len(nodes), clash_nodes)
             runs += 1
             clashes += len(verdict.tree.clash_nodes)
     assert runs == 1000 and clashes > 50

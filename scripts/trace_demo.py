@@ -1,13 +1,18 @@
 #!/usr/bin/env python3
 """Run the animal example through both rule systems and export the traces.
 
-Writes ``out/animal_basic.{json,dot}`` and ``out/animal_plus.{json,dot}``
-and prints a short summary of each derivation.  Render the DOT files with
+Usage: ``python3 scripts/trace_demo.py [OUT_DIR]``, ``OUT_DIR`` defaulting
+to ``out/`` at the top of the repository.
+
+Writes ``animal_basic.{json,dot}`` and ``animal_plus.{json,dot}`` (format-2
+traces, which ``alcsat trace-replay`` verifies) into ``OUT_DIR`` and
+prints a short summary of each derivation.  Render the DOT files with
 ``dot -Tpdf out/animal_basic.dot -o basic.pdf``.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 from pathlib import Path
 
@@ -23,9 +28,15 @@ ANIMAL_TEXT = (
 )
 
 
-def main() -> int:
-    out = Path(__file__).resolve().parent.parent / "out"
-    out.mkdir(exist_ok=True)
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "out", nargs="?", type=Path,
+        default=Path(__file__).resolve().parent.parent / "out",
+        help="directory the traces are written to (default: out/)",
+    )
+    out = parser.parse_args(argv).out
+    out.mkdir(parents=True, exist_ok=True)
     concept = parse_concept(ANIMAL_TEXT)
     cnf = to_cnf(concept)
     print("concept:", ANIMAL_TEXT)

@@ -31,8 +31,8 @@ from alcsat.normal_form import (
     ForallLit,
     Neg,
     Pos,
-    clause_set_to_json,
-    clause_set_from_json,
+    ValueTable,
+    table_refs,
 )
 
 SubElement = Union[ClauseSet, Clause]
@@ -92,22 +92,30 @@ def family_get(fam: Family, i: int) -> ClauseSet:
     return EMPTY_CLAUSE_SET
 
 
-def family_to_json(fam: Family) -> dict:
+def family_to_json(fam: Family, table: ValueTable) -> dict:
+    """``fam`` as JSON: ``members`` the indices of its members' entries
+    in ``table``, which gains the entries it does not hold yet, and
+    ``edges`` one ``[parent, role, child]`` triple per edge."""
     return {
-        "members": [clause_set_to_json(m) for m in fam.members],
-        "edges": [
-            {"parent": e.parent, "role": e.role, "child": e.child} for e in fam.edges
-        ],
+        "members": [table.index(m) for m in fam.members],
+        "edges": [[e.parent, e.role, e.child] for e in fam.edges],
     }
 
 
-def family_from_json(data: dict) -> Family:
-    return Family(
-        tuple(clause_set_from_json(m) for m in data["members"]),
-        tuple(
-            FamilyEdge(e["parent"], e["role"], e["child"]) for e in data["edges"]
-        ),
-    )
+def family_from_json(data: dict, values: list) -> Family:
+    """The family :func:`family_to_json` wrote, its members looked up in
+    ``values``, the decoded table.  Raises :class:`ValueError` on a
+    member index that is not a clause set's or an edge that is not an
+    in-range triple of two integers around a string, and
+    :class:`KeyError` or :class:`TypeError` on data not shaped like a
+    family."""
+    edges = []
+    for e in data["edges"]:
+        parent, role, child = e
+        if type(parent) is not int or type(child) is not int or type(role) is not str:
+            raise ValueError(f"family edge {e!r} is not [parent, role, child]")
+        edges.append(FamilyEdge(parent, role, child))
+    return Family(tuple(table_refs(values, data["members"], ClauseSet)), tuple(edges))
 
 
 def rol(f: ClauseSet) -> frozenset[str]:

@@ -18,9 +18,13 @@ on stderr (the clause budget: a disjunction distributing to more than
 the search takes); ``cnf`` exits 4 on the clause budget too.  ``fuzz``
 prints the differential report JSON (with ``plus_fewer_nodes``, the
 trials where plus expanded fewer nodes than basic) and exits 0 when it
-is clean and 5 on any disagreement.  ``trace-replay`` exits 0 when the
-recorded trace replays exactly, 1 when it does not, and 2 when the file
-cannot be read or is not shaped like a trace (one line on stderr).
+is clean and 5 on any disagreement.  ``check --trace PATH.json`` writes
+a format-2 trace (``engine.trace_to_json``: a value table that holds
+each literal, clause and clause set once, the run's options and
+stats).  ``trace-replay`` exits 0 when the recorded trace replays
+exactly, 1 when it does not, and 2 when the file cannot be read or is
+not a format-2 trace, an older trace without ``"format": 2`` included
+(one line on stderr).
 
 An argument naming an existing file is read as UTF-8 holding one concept;
 ``#`` starts a line comment.  Configuration is flags only, so runs are

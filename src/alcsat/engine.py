@@ -83,6 +83,20 @@ rule application strictly decreases the measure; :func:`decide_sat`
 asserts this at each step, computing each node's measure once and
 carrying it down as the parent measure of the next step.
 
+Traces (format 2).  :func:`trace_to_json` writes a run as one JSON object:
+``format`` (2), ``strategy``, ``options`` (``a2_anywhere``), ``verdict``,
+``stats`` (the :class:`DecisionStats` fields), ``values``, ``nodes``,
+``edges`` and ``clash_nodes``.  ``values`` is a value table: each
+distinct literal, clause and clause set of the tree once, after the
+values under it, each entry referring to earlier entries by index
+(:class:`~alcsat.normal_form.ValueTable`).  A node's ``members`` and an
+edge's ``clause`` and ``literal`` are indices into it, so a member the
+nodes share, as a node shares all but one with its parent, is written
+and decoded once.  :func:`decode_trace` reads the format back for
+:func:`replay_trace` and :func:`trace_to_dot`, and raises
+:class:`TraceFormatError` on anything else, a trace of another format
+included.
+
 ``decide_sat`` is a self-contained computation over immutable snapshots;
 concurrent calls are safe and a run's trace is a deterministic function
 of input, strategy and ``a2_anywhere``.  It keeps its own stack, so the
@@ -99,6 +113,7 @@ from typing import Optional
 
 from alcsat.clause_model import Family, family_to_json, family_from_json
 from alcsat.normal_form import (
+    LITERAL_TYPES,
     Clause,
     ClauseSet,
     ExistsLit,
@@ -106,12 +121,11 @@ from alcsat.normal_form import (
     Literal,
     Neg,
     Pos,
+    ValueTable,
     clause_to_concept,
-    clause_to_json,
-    clause_from_json,
     complement,
-    literal_to_json,
-    literal_from_json,
+    table_ref,
+    values_from_json,
 )
 from alcsat.syntax import render_concept
 
@@ -145,7 +159,8 @@ class NonUnitPresentError(NotAllUnitError):
 
 
 class TraceFormatError(ValueError):
-    """The input to :func:`replay_trace` is not shaped like a trace."""
+    """The input to :func:`replay_trace` or :func:`trace_to_dot` is not
+    a trace of the format :func:`trace_to_json` writes."""
 
 
 class ResourceLimitError(Exception):
@@ -364,6 +379,7 @@ class Verdict:
     witness: Optional[int]  # node index of the complete clash-free family
     tree: DerivationTree
     stats: DecisionStats
+    a2_anywhere: bool  # the option the search ran with
 
     @property
     def witness_family(self) -> Family:
@@ -656,7 +672,7 @@ def decide_sat(
         max_depth=max_depth_seen,
         backjumps=backjumps,
     )
-    return Verdict(witness is not None, witness, tree, stats)
+    return Verdict(witness is not None, witness, tree, stats, a2_anywhere)
 
 
 def witness_path(verdict: Verdict) -> list[tuple[Family, Optional[RuleApplication]]]:
@@ -678,104 +694,180 @@ def witness_path(verdict: Verdict) -> list[tuple[Family, Optional[RuleApplicatio
 
 # --- Trace serialization and replay ----------------------------------------
 
+#: The trace format :func:`trace_to_json` writes and the only one read.
+TRACE_FORMAT = 2
+
 
 def trace_to_json(verdict: Verdict, strategy: Strategy) -> dict:
+    """The verdict's derivation as a format-2 trace (a JSON object).
+
+    ``values`` is a value table (:class:`~alcsat.normal_form.ValueTable`)
+    holding each literal, clause and clause set of the tree once; node
+    ``members`` and edge ``clause`` / ``literal`` are indices into it.
+    ``options`` and ``stats`` record how the search ran and what it
+    counted.
+    """
+    table = ValueTable()
+    nodes = [family_to_json(n, table) for n in verdict.tree.nodes]
+    edges = []
+    for e in verdict.tree.edges:
+        app = e.application
+        lit = app.chosen_literal
+        edges.append({
+            "from": e.parent,
+            "rule": app.rule,
+            "member": app.member_index,
+            "clause": table.index(app.target_clause),
+            "literal": None if lit is None else table.index(lit),
+            "to": e.child,
+        })
     return {
+        "format": TRACE_FORMAT,
         "strategy": strategy.value,
+        "options": {"a2_anywhere": verdict.a2_anywhere},
         "verdict": "sat" if verdict.satisfiable else "unsat",
-        "nodes": [family_to_json(n) for n in verdict.tree.nodes],
-        "edges": [
-            {
-                "from": e.parent,
-                "rule": e.application.rule,
-                "member": e.application.member_index,
-                "clause": clause_to_json(e.application.target_clause),
-                "literal": (
-                    literal_to_json(e.application.chosen_literal)
-                    if e.application.chosen_literal is not None
-                    else None
-                ),
-                "to": e.child,
-            }
-            for e in verdict.tree.edges
-        ],
+        "stats": {f: getattr(verdict.stats, f) for f in DecisionStats.__slots__},
+        "values": table.entries,
+        "nodes": nodes,
+        "edges": edges,
         "clash_nodes": list(verdict.tree.clash_nodes),
     }
+
+
+@dataclass(frozen=True, slots=True)
+class DecodedTrace:
+    """A format-2 trace with its values decoded.  ``nodes`` hold the
+    interned values, so they are the recorded tree's own while it lives.
+    Each edge is (from, rule, member, clause, literal or None, to)."""
+
+    strategy: Strategy
+    a2_anywhere: bool
+    satisfiable: bool
+    stats: DecisionStats
+    nodes: list[Family]
+    edges: list[tuple[int, str, int, Clause, Optional[Literal], int]]
+    clash_nodes: frozenset[int]
+
+
+def _in_range(i: object, n: int) -> bool:
+    return type(i) is int and 0 <= i < n
+
+
+def decode_trace(trace: object) -> DecodedTrace:
+    """Decode and shape-check a trace :func:`trace_to_json` wrote.
+
+    Raises :class:`TraceFormatError` on anything else: not an object, a
+    ``format`` other than 2 (or none), a missing field, an unknown
+    strategy or verdict, a malformed value table (see
+    :func:`~alcsat.normal_form.values_from_json`), an index into the
+    table that is out of range or names a value of the wrong kind, and
+    a node, member or clash-node index out of range.
+    """
+    if not isinstance(trace, dict):
+        raise TraceFormatError(f"a trace is a JSON object, not {type(trace).__name__}")
+    try:
+        fmt = trace.get("format")
+        if type(fmt) is not int or fmt != TRACE_FORMAT:
+            raise ValueError(f"trace format {fmt!r}, not {TRACE_FORMAT}")
+        strategy = Strategy(trace["strategy"])
+        a2_anywhere = trace["options"]["a2_anywhere"]
+        if type(a2_anywhere) is not bool:
+            raise ValueError(f"option a2_anywhere is {a2_anywhere!r}, not a boolean")
+        if trace["verdict"] not in ("sat", "unsat"):
+            raise ValueError(f"verdict {trace['verdict']!r} is neither 'sat' nor 'unsat'")
+        stats = DecisionStats(**trace["stats"])
+        if not all(type(getattr(stats, f)) is int for f in DecisionStats.__slots__):
+            raise ValueError(f"stats {trace['stats']!r} are not all integers")
+        values = values_from_json(trace["values"])
+        nodes = []
+        for i, data in enumerate(trace["nodes"]):
+            try:
+                nodes.append(family_from_json(data, values))
+            except ValueError as exc:
+                raise ValueError(f"node {i}: {exc}") from None
+        edges = []
+        for e in trace["edges"]:
+            parent, member, child, lit = e["from"], e["member"], e["to"], e["literal"]
+            if not (
+                _in_range(parent, len(nodes))
+                and _in_range(child, len(nodes))
+                and _in_range(member, len(nodes[parent].members))
+            ):
+                raise ValueError(
+                    f"edge {parent!r}->{child!r} (member {member!r}): index out of range"
+                )
+            try:
+                target = table_ref(values, e["clause"], Clause)
+                if lit is not None:
+                    lit = table_ref(values, lit, LITERAL_TYPES)
+            except ValueError as exc:
+                raise ValueError(f"edge {parent}->{child}: {exc}") from None
+            edges.append((parent, e["rule"], member, target, lit, child))
+        clash_nodes = frozenset(trace["clash_nodes"])
+    except KeyError as exc:
+        raise TraceFormatError(f"missing field {exc}") from exc
+    except (TypeError, ValueError, RecursionError) as exc:
+        raise TraceFormatError(str(exc)) from exc
+    if not all(_in_range(i, len(nodes)) for i in clash_nodes):
+        raise TraceFormatError("clash node index out of range")
+    return DecodedTrace(
+        strategy, a2_anywhere, trace["verdict"] == "sat", stats, nodes, edges, clash_nodes
+    )
 
 
 def trace_to_dot(trace: dict) -> str:
     """Graphviz rendering: node label is the family index, edge label the
     rule plus its target; clashed nodes are marked, complete clash-free
-    ones doubly circled."""
-    clash = set(trace["clash_nodes"])
-    strategy = Strategy(trace["strategy"])
+    ones doubly circled.  Raises :class:`TraceFormatError` as
+    :func:`decode_trace` does."""
+    decoded = decode_trace(trace)
     lines = ["digraph derivation {", "  node [shape=circle];"]
-    for i, node_data in enumerate(trace["nodes"]):
-        fam = family_from_json(node_data)
+    for i, fam in enumerate(decoded.nodes):
         attrs = [f'label="S{i}"']
-        if i in clash:
+        if i in decoded.clash_nodes:
             attrs.append('xlabel="clash"')
             attrs.append("style=dashed")
-        elif is_complete(fam, strategy) and not any(is_clash(m) for m in fam.members):
+        elif is_complete(fam, decoded.strategy) and not any(is_clash(m) for m in fam.members):
             attrs.append("shape=doublecircle")
         lines.append(f"  n{i} [{', '.join(attrs)}];")
-    for e in trace["edges"]:
-        target = render_concept(clause_to_concept(clause_from_json(e["clause"])))
-        label = f"{e['rule']} m{e['member']}: {target}".replace('"', '\\"')
-        lines.append(f'  n{e["from"]} -> n{e["to"]} [label="{label}"];')
+    for parent, rule, member, target, _, child in decoded.edges:
+        label = f"{rule} m{member}: {render_concept(clause_to_concept(target))}"
+        label = label.replace('"', '\\"')
+        lines.append(f'  n{parent} -> n{child} [label="{label}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
 def replay_trace(trace: dict) -> list[str]:
-    """Re-apply every recorded step and cross-check the trace.
+    """Re-apply every recorded step of a format-2 trace and cross-check it.
 
     Returns a list of human-readable problems; an empty list means the
     trace is internally consistent: each edge's rule application
-    reproduces the child family, clash marks are exactly the clashed
-    nodes, and the verdict matches the recorded tree.  Raises
-    :class:`TraceFormatError` when ``trace`` does not have the shape
-    :func:`trace_to_json` writes.
+    reproduces the child family (an A2 step on a clause of the member
+    that holds its universal, and on a clause that is not a unit only
+    under the recorded ``a2_anywhere``), clash marks are
+    exactly the clashed nodes, the verdict matches the recorded tree,
+    and the recorded stats count its nodes and clashes.  Raises
+    :class:`TraceFormatError` as :func:`decode_trace` does, so a trace
+    of another format is rejected, not replayed.
     """
-    if not isinstance(trace, dict):
-        raise TraceFormatError(f"a trace is a JSON object, not {type(trace).__name__}")
-    try:
-        strategy = Strategy(trace["strategy"])
-        nodes = [family_from_json(n) for n in trace["nodes"]]
-        edges = [
-            (
-                e["from"],
-                e["rule"],
-                e["member"],
-                clause_from_json(e["clause"]),
-                literal_from_json(e["literal"]) if e["literal"] is not None else None,
-                e["to"],
-            )
-            for e in trace["edges"]
-        ]
-        recorded_clashes = set(trace["clash_nodes"])
-        verdict_sat = trace["verdict"] == "sat"
-    except KeyError as exc:
-        raise TraceFormatError(f"missing field {exc}") from exc
-    except (TypeError, ValueError, RecursionError) as exc:
-        raise TraceFormatError(str(exc)) from exc
-
-    def in_range(i: object, n: int) -> bool:
-        return type(i) is int and 0 <= i < n
-
-    for parent, _, member, _, _, child in edges:
-        if not (
-            in_range(parent, len(nodes))
-            and in_range(child, len(nodes))
-            and in_range(member, len(nodes[parent].members))
-        ):
-            raise TraceFormatError(
-                f"edge {parent!r}->{child!r} (member {member!r}): index out of range"
-            )
-    if not all(in_range(i, len(nodes)) for i in recorded_clashes):
-        raise TraceFormatError("clash node index out of range")
+    decoded = decode_trace(trace)
+    nodes, clashes = decoded.nodes, decoded.clash_nodes
     problems: list[str] = []
-    for parent, rule, member, target, lit, child in edges:
+    for parent, rule, member, target, lit, child in decoded.edges:
+        if rule == RULE_A2:
+            # apply_a2 reads only the universal, so check its clause here.
+            if lit not in target or target not in nodes[parent].members[member]:
+                problems.append(
+                    f"edge {parent}->{child}: A2 target is not a clause of the member"
+                    " holding the consumed universal"
+                )
+                continue
+            if not target.is_unit and not decoded.a2_anywhere:
+                problems.append(
+                    f"edge {parent}->{child}: A2 on a clause that is not a unit needs a2_anywhere"
+                )
+                continue
         try:
             result = _apply_planned(nodes[parent], rule, member, target, lit)
         except (PreconditionError, ValueError) as exc:
@@ -785,18 +877,30 @@ def replay_trace(trace: dict) -> list[str]:
             problems.append(
                 f"edge {parent}->{child}: replayed family differs from recorded one"
             )
+    # Nodes share most members with their parents: check each value once.
+    clash_of: dict[ClauseSet, bool] = {}
     for i, fam in enumerate(nodes):
-        clashed = any(is_clash(m) for m in fam.members)
-        if clashed != (i in recorded_clashes):
+        clashed = False
+        for m in fam.members:
+            c = clash_of.get(m)
+            if c is None:
+                c = clash_of[m] = is_clash(m)
+            clashed = clashed or c
+        if clashed != (i in clashes):
             # Clash marks are only recorded for visited nodes, and every
             # recorded node was visited, so this is a hard mismatch.
             problems.append(f"node {i}: clash mark disagrees with family content")
     has_open_complete = any(
-        i not in recorded_clashes and is_complete(fam, strategy)
+        i not in clashes and is_complete(fam, decoded.strategy)
         for i, fam in enumerate(nodes)
     )
-    if verdict_sat and not has_open_complete:
+    if decoded.satisfiable and not has_open_complete:
         problems.append("verdict sat but no complete clash-free node recorded")
-    if not verdict_sat and has_open_complete:
+    if not decoded.satisfiable and has_open_complete:
         problems.append("verdict unsat but a complete clash-free node exists")
+    stats = decoded.stats
+    if stats.nodes_expanded != len(nodes):
+        problems.append(f"stats: {stats.nodes_expanded} nodes expanded, {len(nodes)} recorded")
+    if stats.clashes != len(clashes):
+        problems.append(f"stats: {stats.clashes} clashes, {len(clashes)} clash nodes recorded")
     return problems

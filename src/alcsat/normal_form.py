@@ -540,7 +540,9 @@ def is_canonical_clause_set(f: ClauseSet) -> bool:
     return cs_ok(f)
 
 
-# --- JSON encoding -----------------------------------------------------
+# --- JSON encodings -------------------------------------------------------
+#
+# Nested, as ``alcsat cnf`` prints a clause set:
 #
 # literal   = {"pos": name} | {"neg": name}
 #           | {"exists": {"role": r, "body": clauseset}}
@@ -569,23 +571,159 @@ def clause_set_to_json(f: ClauseSet) -> list:
     return [clause_to_json(cl) for cl in f]
 
 
-def literal_from_json(data: dict) -> Literal:
-    if "pos" in data:
-        return Pos(data["pos"])
-    if "neg" in data:
-        return Neg(data["neg"])
-    if "exists" in data:
-        return ExistsLit(data["exists"]["role"], clause_set_from_json(data["exists"]["body"]))
-    if "forall" in data:
-        return ForallLit(data["forall"]["role"], clause_set_from_json(data["forall"]["body"]))
-    raise ValueError(f"not a literal object: {data!r}")
+# As a value table, which traces use: an array holding each distinct
+# value once, after the values under it, each entry naming those by
+# their indices in the array:
+#
+# entry = ["pos", name] | ["neg", name]
+#       | ["exists", role, clause set index] | ["forall", role, clause set index]
+#       | ["clause", [literal index, ...]] | ["clause_set", [clause index, ...]]
+#
+# A value shared by many clause sets, as the members of the nodes of a
+# derivation share theirs, is written and decoded once.
+
+LITERAL_TYPES = (Pos, Neg, ExistsLit, ForallLit)
 
 
-# Lists, not generators: the constructors' frames stay off the stack
-# while a nested body decodes, so decoding takes five frames a level.
-def clause_from_json(data: list) -> Clause:
-    return Clause([literal_from_json(item) for item in data])
+def _parts(v: _Value) -> tuple:
+    """The values ``v``'s table entry refers to."""
+    cls = type(v)
+    if cls is Clause:
+        return v.literals
+    if cls is ClauseSet:
+        return v.clauses
+    if cls is ExistsLit or cls is ForallLit:
+        return (v.body,)
+    return ()
 
 
-def clause_set_from_json(data: list) -> ClauseSet:
-    return ClauseSet([clause_from_json(item) for item in data])
+class ValueTable:
+    """A value table being written: ``entries`` holds each value
+    :meth:`index` was given, and each value under one, once, in
+    post-order."""
+
+    def __init__(self) -> None:
+        self.entries: list[list] = []
+        # By ``id``: a value's own hash is a Python-level call.  The
+        # list keeps every value alive, so no ``id`` is reused.
+        self._indices: dict[int, int] = {}
+        self._values: list[_Value] = []
+
+    def index(self, value: _Value) -> int:
+        """The index of ``value``'s entry, added first if it is new,
+        after the new entries of the values under it."""
+        get = self._indices.get
+        found = get(id(value))
+        if found is not None:
+            return found
+        # A stack of (value, iterator over its parts, indices of the
+        # parts done): a new part is pushed, and once it has an entry
+        # its index goes to the frame below, whose iterator resumes.
+        stack = [(value, iter(_parts(value)), [])]
+        while True:
+            v, parts, refs = stack[-1]
+            for p in parts:
+                i = get(id(p))
+                if i is None:
+                    stack.append((p, iter(_parts(p)), []))
+                    break
+                refs.append(i)
+            else:
+                stack.pop()
+                i = self._add(v, refs)
+                if not stack:
+                    return i
+                stack[-1][2].append(i)
+
+    def _add(self, v: _Value, refs: list) -> int:
+        cls = type(v)
+        if cls is Clause:
+            entry = ["clause", refs]
+        elif cls is ClauseSet:
+            entry = ["clause_set", refs]
+        elif cls is ExistsLit or cls is ForallLit:
+            entry = ["exists" if cls is ExistsLit else "forall", v.role, refs[0]]
+        else:
+            entry = ["pos" if cls is Pos else "neg", v.name]
+        i = self._indices[id(v)] = len(self.entries)
+        self._values.append(v)
+        self.entries.append(entry)
+        return i
+
+
+_KIND_NAMES = {Clause: "clause", ClauseSet: "clause set"}
+
+
+def table_refs(values: list, indices: object, kind: type | tuple[type, ...]) -> list:
+    """``[values[i] for i in indices]``, where ``indices`` must be an
+    array of indices of ``values`` and each value there an instance of
+    ``kind``; raises :class:`ValueError` if not."""
+    if not isinstance(indices, list):
+        raise ValueError(f"{indices!r} is not an array of indices")
+    n = len(values)
+    out = []
+    for i in indices:
+        if type(i) is not int or not 0 <= i < n:
+            raise ValueError(f"{i!r} is not an index below {n}")
+        value = values[i]
+        if not isinstance(value, kind):
+            have, want = _KIND_NAMES.get(type(value), "literal"), _KIND_NAMES.get(kind, "literal")
+            raise ValueError(f"value {i} is a {have}, not a {want}")
+        out.append(value)
+    return out
+
+
+def table_ref(values: list, i: object, kind: type | tuple[type, ...]) -> _Value:
+    """``values[i]``, checked as :func:`table_refs` checks each index."""
+    return table_refs(values, [i], kind)[0]
+
+
+def _interned(cls: type, items: list) -> _Collection:
+    """``cls(items)``, found without sorting when ``items`` is in the
+    canonical order, as a value table lists them, and the value lives."""
+    ref = _INTERN.get((cls, tuple(items)))
+    if ref is not None and (value := ref()) is not None:
+        return value
+    return cls(items)
+
+
+def values_from_json(entries: object) -> list:
+    """The values of a value table's entries, in order.
+
+    One forward loop builds each value once, through the intern table,
+    so the values are the interned ones and nesting takes no stack.
+    Raises :class:`ValueError` on an entry :class:`ValueTable` does not
+    write: an unknown tag, a name or role that is not a string, or a
+    reference that is not to an earlier entry or is to one of the wrong
+    kind (a clause set in a clause, a literal in a clause set).
+    """
+    if not isinstance(entries, list):
+        raise ValueError("the value table is not an array")
+    values: list[_Value] = []
+    for n, entry in enumerate(entries):
+        try:
+            if not isinstance(entry, list) or not entry:
+                raise ValueError("an entry is a non-empty array")
+            tag = entry[0]
+            if tag == "clause" or tag == "clause_set":
+                if len(entry) != 2:
+                    raise ValueError(f"a {tag} entry is [{tag!r}, [index, ...]]")
+                if tag == "clause":
+                    value = _interned(Clause, table_refs(values, entry[1], LITERAL_TYPES))
+                else:
+                    value = _interned(ClauseSet, table_refs(values, entry[1], Clause))
+            elif tag == "pos" or tag == "neg":
+                if len(entry) != 2 or type(entry[1]) is not str:
+                    raise ValueError(f"a {tag} entry is [{tag!r}, name] with a string name")
+                value = (Pos if tag == "pos" else Neg)(entry[1])
+            elif tag == "exists" or tag == "forall":
+                if len(entry) != 3 or type(entry[1]) is not str:
+                    raise ValueError(f"a {tag} entry is [{tag!r}, role, index] with a string role")
+                quant = ExistsLit if tag == "exists" else ForallLit
+                value = quant(entry[1], table_ref(values, entry[2], ClauseSet))
+            else:
+                raise ValueError(f"unknown tag {tag!r}")
+        except ValueError as exc:
+            raise ValueError(f"value {n}: {exc}") from None
+        values.append(value)
+    return values

@@ -24,7 +24,9 @@ from alcsat.normal_form import (
     ForallLit,
     Neg,
     Pos,
+    ValueTable,
     to_cnf,
+    values_from_json,
 )
 from conftest import (
     ANIMAL_BASIC_NODES,
@@ -183,7 +185,9 @@ def test_family_edges_form_forest_rooted_at_zero():
 
 def test_family_json_round_trip():
     fam = ANIMAL_BASIC_NODES[7]
-    data = family_to_json(fam)
+    table = ValueTable()
+    data = family_to_json(fam, table)
     assert set(data) == {"members", "edges"}
-    assert data["edges"] == [{"parent": 0, "role": "hasPart", "child": 1}]
-    assert family_from_json(data) == fam
+    assert data["members"] == [table.index(m) for m in fam.members]
+    assert data["edges"] == [[0, "hasPart", 1]]
+    assert family_from_json(data, values_from_json(table.entries)) == fam

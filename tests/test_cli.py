@@ -3,9 +3,17 @@
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from alcsat.cli import main
+from alcsat.engine import TraceFormatError, trace_to_dot
 from conftest import ANIMAL_TEXT
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_check_unsat_exit_1(capsys):
@@ -179,15 +187,24 @@ def test_trace_replay_json_nested_too_deep_exit_2(tmp_path, capsys):
 
 def _replay_malformed(tmp_path, capsys, change) -> str:
     """Replay the animal trace after ``change`` and return its stderr,
-    which must be one line, after exit code 2."""
+    which must be one line, after exit code 2; ``trace_to_dot`` must
+    reject the changed trace too."""
     trace_path = tmp_path / "t.json"
     assert main(["check", "--trace", str(trace_path), ANIMAL_TEXT]) == 0
-    trace_path.write_text(json.dumps(change(json.loads(trace_path.read_text()))))
+    changed = change(json.loads(trace_path.read_text()))
+    trace_path.write_text(json.dumps(changed))
     capsys.readouterr()
     assert main(["trace-replay", str(trace_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("malformed trace: ") and err.count("\n") == 1
+    with pytest.raises(TraceFormatError):
+        trace_to_dot(changed)
     return err
+
+
+def _entry_index(trace, tag, nth=0) -> int:
+    """Index of the ``nth`` value-table entry tagged ``tag``."""
+    return [i for i, e in enumerate(trace["values"]) if e[0] == tag][nth]
 
 
 def test_trace_replay_rejects_a_json_array(tmp_path, capsys):
@@ -217,6 +234,93 @@ def test_trace_replay_rejects_an_edge_index_out_of_range(tmp_path, capsys):
             return trace
 
         assert "out of range" in _replay_malformed(tmp_path, capsys, point_away)
+
+
+def test_trace_replay_rejects_a_reference_to_itself_or_a_later_value(tmp_path, capsys):
+    for offset in (0, 1):
+        def point_forward(trace):
+            k = _entry_index(trace, "clause")
+            trace["values"][k][1][0] = k + offset
+            return trace
+
+        err = _replay_malformed(tmp_path, capsys, point_forward)
+        assert "is not an index below" in err
+
+
+def test_trace_replay_rejects_a_clause_set_inside_a_clause(tmp_path, capsys):
+    def nest(trace):
+        k = _entry_index(trace, "clause", -1)
+        trace["values"][k][1][0] = _entry_index(trace, "clause_set")
+        return trace
+
+    assert "is a clause set, not a literal" in _replay_malformed(tmp_path, capsys, nest)
+
+
+def test_trace_replay_rejects_a_clause_as_an_edge_literal(tmp_path, capsys):
+    def swap(trace):
+        edge = next(e for e in trace["edges"] if e["literal"] is not None)
+        edge["literal"] = edge["clause"]
+        return trace
+
+    assert "is a clause, not a literal" in _replay_malformed(tmp_path, capsys, swap)
+
+
+def test_trace_replay_rejects_a_literal_as_a_member(tmp_path, capsys):
+    def swap(trace):
+        trace["nodes"][0]["members"][0] = _entry_index(trace, "pos")
+        return trace
+
+    assert "is a literal, not a clause set" in _replay_malformed(tmp_path, capsys, swap)
+
+
+def test_trace_replay_rejects_an_unknown_tag(tmp_path, capsys):
+    def retag(trace):
+        trace["values"][_entry_index(trace, "neg")][0] = "not"
+        return trace
+
+    assert "unknown tag 'not'" in _replay_malformed(tmp_path, capsys, retag)
+
+
+def test_trace_replay_rejects_a_name_or_role_that_is_not_a_string(tmp_path, capsys):
+    for tag in ("pos", "exists"):
+        def rename(trace):
+            trace["values"][_entry_index(trace, tag)][1] = 7
+            return trace
+
+        assert "string" in _replay_malformed(tmp_path, capsys, rename)
+
+
+def test_trace_replay_rejects_a_member_index_past_the_table(tmp_path, capsys):
+    def point_past(trace):
+        trace["nodes"][0]["members"][0] = len(trace["values"])
+        return trace
+
+    assert "node 0: " in _replay_malformed(tmp_path, capsys, point_past)
+
+
+def test_trace_replay_rejects_a_missing_or_other_format(tmp_path, capsys):
+    def drop_format(trace):
+        del trace["format"]
+        return trace
+
+    def format_1(trace):
+        trace["format"] = 1
+        return trace
+
+    assert "trace format None, not 2" in _replay_malformed(tmp_path, capsys, drop_format)
+    assert "trace format 1, not 2" in _replay_malformed(tmp_path, capsys, format_1)
+
+
+def test_trace_demo_writes_traces_that_replay(tmp_path, capsys):
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "trace_demo.py"), str(tmp_path / "out")],
+        env={"PYTHONPATH": str(ROOT / "src")}, capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    for strategy in ("basic", "plus"):
+        assert (tmp_path / "out" / f"animal_{strategy}.dot").read_text().startswith("digraph")
+        assert main(["trace-replay", str(tmp_path / "out" / f"animal_{strategy}.json")]) == 0
+    assert capsys.readouterr().out.count("trace ok") == 2
 
 
 def test_usage_error_exit_2():

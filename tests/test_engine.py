@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -21,6 +22,7 @@ from alcsat.engine import (
     apply_a2_plus,
     apply_a3,
     decide_sat,
+    decode_trace,
     family_measure,
     is_clash,
     is_complete,
@@ -61,6 +63,7 @@ from conftest import (
     NA,
     chronological_search,
     cl,
+    concepts,
     cs,
     modal_3cnf,
     small_concepts,
@@ -564,3 +567,93 @@ def test_clash_dependency_set_is_the_least_of_the_members_clashes():
     assert _clash_deps(member, deps) == 0b101
     ex, fa = ExistsLit("R", cs(cl(A))), ForallLit("R", cs(cl(NA)))
     assert _clash_deps(cs(cl(ex), cl(fa)), {cl(fa): 0b10}) == 0b10
+
+
+# --- trace format 2 -------------------------------------------------------------
+
+
+def _reachable_values(verdict) -> set:
+    """Every literal, clause and clause set under the tree's members."""
+    seen: set = set()
+    todo = [m for fam in verdict.tree.nodes for m in fam.members]
+    while todo:
+        v = todo.pop()
+        if v not in seen:
+            seen.add(v)
+            todo.extend(getattr(v, "clauses", ()) or getattr(v, "literals", ()))
+            if isinstance(v, (ExistsLit, ForallLit)):
+                todo.append(v.body)
+    return seen
+
+
+def _assert_round_trip(f, strategy, a2_anywhere) -> None:
+    verdict = decide_sat(f, strategy, a2_anywhere=a2_anywhere)
+    trace = json.loads(json.dumps(trace_to_json(verdict, strategy)))
+    assert replay_trace(trace) == []
+    decoded = decode_trace(trace)
+    assert (decoded.strategy, decoded.a2_anywhere) == (strategy, a2_anywhere)
+    assert decoded.stats == verdict.stats
+    assert len(decoded.nodes) == len(verdict.tree.nodes)
+    for got, node in zip(decoded.nodes, verdict.tree.nodes):
+        assert got == node
+        assert all(a is b for a, b in zip(got.members, node.members))
+    for (_, _, _, clause, lit, _), e in zip(decoded.edges, verdict.tree.edges):
+        assert clause is e.application.target_clause and lit is e.application.chosen_literal
+    values = trace["values"]
+    assert len({json.dumps(entry) for entry in values}) == len(values)
+    assert len(values) == len(_reachable_values(verdict))
+
+
+def test_trace_round_trip_on_modal_3cnf_and_the_successor_family():
+    rng = random.Random(9)
+    inputs = [modal_3cnf(rng, clauses)[0] for clauses in (4, 6, 8) for _ in range(2)]
+    inputs += [successor_family(n) for n in (1, 2, 3)]
+    for text in inputs:
+        f = to_cnf(parse_concept(text))
+        for strategy, anywhere in MODES:
+            _assert_round_trip(f, strategy, anywhere)
+
+
+@settings(max_examples=60, deadline=None)
+@given(concepts)
+def test_trace_round_trip_on_hypothesis_concepts(c):
+    f = to_cnf(c)
+    for strategy, anywhere in MODES:
+        _assert_round_trip(f, strategy, anywhere)
+
+
+def test_replay_checks_the_recorded_stats():
+    verdict = decide_sat(ANIMAL_CNF, Strategy.BASIC)
+    for field, problem in (
+        ("nodes_expanded", "stats: 12 nodes expanded, 11 recorded"),
+        ("clashes", "stats: 3 clashes, 2 clash nodes recorded"),
+    ):
+        trace = trace_to_json(verdict, Strategy.BASIC)
+        trace["stats"][field] += 1
+        assert replay_trace(trace) == [problem]
+
+
+def test_replay_uses_the_recorded_a2_anywhere():
+    # Both A1 picks fail, so A2 consumes the universal inside (B | forall R.A).
+    f = to_cnf(parse_concept("(forall R.A | B) & !B & exists R.!A"))
+    verdict = decide_sat(f, Strategy.BASIC, a2_anywhere=True)
+    trace = trace_to_json(verdict, Strategy.BASIC)
+    assert trace["options"] == {"a2_anywhere": True}
+    assert replay_trace(trace) == []
+    trace["options"]["a2_anywhere"] = False
+    assert replay_trace(trace) == [
+        "edge 0->3: A2 on a clause that is not a unit needs a2_anywhere"
+    ]
+
+
+def test_replay_checks_the_a2_target_clause():
+    verdict = decide_sat(ANIMAL_CNF, Strategy.BASIC)
+    trace = trace_to_json(verdict, Strategy.BASIC)
+    edge = next(e for e in trace["edges"] if e["rule"] == "A2")
+    assert trace["values"][0] == ["pos", "Animal"]
+    # {Animal}, a unit of the same member without the universal.
+    edge["clause"] = trace["values"].index(["clause", [0]])
+    assert replay_trace(trace) == [
+        f"edge {edge['from']}->{edge['to']}: A2 target is not a clause of the member"
+        " holding the consumed universal"
+    ]

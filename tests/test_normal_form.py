@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 from hypothesis import given, settings
 
@@ -14,7 +16,7 @@ from alcsat.normal_form import (
     ForallLit,
     Neg,
     Pos,
-    clause_set_from_json,
+    ValueTable,
     clause_set_to_concept,
     clause_set_to_json,
     complement,
@@ -22,6 +24,7 @@ from alcsat.normal_form import (
     literal_to_concept,
     to_cnf,
     to_nnf,
+    values_from_json,
 )
 from alcsat.oracle import oracle_equiv, oracle_sat
 from alcsat.syntax import (
@@ -190,7 +193,9 @@ def test_complement_involution(c):
 @given(small_concepts)
 def test_json_round_trip(c):
     f = to_cnf(c)
-    assert clause_set_from_json(clause_set_to_json(f)) == f
+    table = ValueTable()
+    i = table.index(f)
+    assert values_from_json(json.loads(json.dumps(table.entries)))[i] is f
 
 
 def test_json_shapes():
@@ -199,3 +204,29 @@ def test_json_shapes():
         [{"pos": "A"}, {"neg": "B"}],
         [{"exists": {"role": "R", "body": [[{"pos": "C"}]]}}],
     ]
+
+
+def test_value_table_shapes():
+    # Each value once, after the values it refers to.
+    body = cs(cl(Pos("C")))
+    f = cs(cl(Pos("A"), Neg("B")), cl(ExistsLit("R", body), Pos("A")))
+    table = ValueTable()
+    assert table.index(f) == 8
+    assert table.entries == [
+        ["pos", "A"],
+        ["neg", "B"],
+        ["clause", [0, 1]],
+        ["pos", "C"],
+        ["clause", [3]],
+        ["clause_set", [4]],
+        ["exists", "R", 5],
+        ["clause", [0, 6]],
+        ["clause_set", [2, 7]],
+    ]
+    assert table.index(body) == 5 and table.index(Pos("A")) == 0
+    assert table.index(ForallLit("R", body)) == 9
+    assert table.entries[9] == ["forall", "R", 5]
+    assert values_from_json(table.entries)[8] is f
+    # Entries out of the canonical order, or repeated, decode to the set.
+    entries = [["pos", "B"], ["pos", "A"], ["clause", [0, 1, 0]], ["clause_set", [2, 2]]]
+    assert values_from_json(entries)[3] is cs(cl(Pos("A"), Pos("B")))

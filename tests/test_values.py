@@ -23,11 +23,11 @@ from alcsat.normal_form import (
     ForallLit,
     Neg,
     Pos,
-    clause_set_from_json,
-    clause_set_to_json,
+    ValueTable,
     complement,
     is_canonical_clause_set,
     to_cnf,
+    values_from_json,
 )
 from alcsat.syntax import parse_concept
 from conftest import ANIMAL_CNF, chronological_search, modal_3cnf, successor_family
@@ -59,7 +59,9 @@ def test_equal_values_are_identical():
 
 def test_identity_survives_json_copy_and_pickle():
     f = ANIMAL_CNF
-    assert clause_set_from_json(json.loads(json.dumps(clause_set_to_json(f)))) is f
+    table = ValueTable()
+    i = table.index(f)
+    assert values_from_json(json.loads(json.dumps(table.entries)))[i] is f
     assert copy.copy(f) is f
     assert copy.deepcopy(f) is f
     assert pickle.loads(pickle.dumps(f)) is f

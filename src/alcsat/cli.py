@@ -11,20 +11,22 @@ Subcommands::
 
 ``check`` prints SAT or UNSAT and exits 0 on SAT, 1 on UNSAT, 2 on input
 error (including quantifiers and parentheses nested deeper than
-``syntax.MAX_NESTING``), 3 when ``--oracle`` disagrees with the engine,
-4 when the node budget or the clause budget is exhausted, with one line
-on stderr (the clause budget: a disjunction distributing to more than
-``normal_form.MAX_CLAUSES`` clauses, in the input or in a complement
-the search takes); ``cnf`` exits 4 on the clause budget too.  ``fuzz``
+``syntax.MAX_NESTING``, a file that is not UTF-8, and ``--a2-anywhere``
+without ``--strategy basic``), 3 when ``--oracle`` disagrees with the
+engine, 4 when the node budget or the clause budget is exhausted, with
+one line on stderr (the clause budget: a disjunction distributing to
+more than ``normal_form.MAX_CLAUSES`` clauses, in the input or in a
+complement the search takes); ``cnf`` exits 4 on the clause budget too.  ``fuzz``
 prints the differential report JSON (with ``plus_fewer_nodes``, the
 trials where plus expanded fewer nodes than basic) and exits 0 when it
 is clean and 5 on any disagreement.  ``check --trace PATH.json`` writes
 a format-2 trace (``engine.trace_to_json``: a value table that holds
 each literal, clause and clause set once, the run's options and
 stats).  ``trace-replay`` exits 0 when the recorded trace replays
-exactly, 1 when it does not, and 2 when the file cannot be read or is
-not a format-2 trace, an older trace without ``"format": 2`` included
-(one line on stderr).
+exactly, 1 when it does not, 2 when the file cannot be read (not
+UTF-8 included) or is not a format-2 trace, an older trace without
+``"format": 2`` included, and 4 when a clash check takes a complement
+over the clause budget (one line on stderr).
 
 An argument naming an existing file is read as UTF-8 holding one concept;
 ``#`` starts a line comment.  Configuration is flags only, so runs are
@@ -72,7 +74,7 @@ def _read_concept_arg(arg: str):
                 text = "\n".join(
                     line.split("#", 1)[0] for line in handle.read().splitlines()
                 )
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise _InputError(f"cannot read {arg}: {exc}") from exc
     else:
         text = arg
@@ -83,6 +85,9 @@ def _read_concept_arg(arg: str):
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
+    if args.a2_anywhere and args.strategy != Strategy.BASIC.value:
+        print("--a2-anywhere needs --strategy basic", file=sys.stderr)
+        return EXIT_INPUT_ERROR
     try:
         concept = _read_concept_arg(args.expr)
     except _InputError as exc:
@@ -165,7 +170,7 @@ def _cmd_trace_replay(args: argparse.Namespace) -> int:
     try:
         with open(args.path, encoding="utf-8") as handle:
             trace = json.load(handle)
-    except (OSError, json.JSONDecodeError, RecursionError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         print(f"cannot load trace: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     try:
@@ -173,6 +178,9 @@ def _cmd_trace_replay(args: argparse.Namespace) -> int:
     except TraceFormatError as exc:
         print(f"malformed trace: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    except ClauseBudgetError as exc:
+        print(f"resource limit: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE_LIMIT
     if problems:
         for problem in problems:
             print(problem, file=sys.stderr)

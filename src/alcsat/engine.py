@@ -20,15 +20,17 @@ clause in canonical order is the A1/A1+ target, branching over its
 literals in canonical order; once all clauses are units, A2/A2+ fires on
 the first universal unit; then A3 peels the first existential unit.  The
 only backtracking choice points are the A1/A1+ literal picks (plus the
-universal picks under ``a2_anywhere``, which enables consuming a
-universal literal sitting inside a non-unit clause and discarding its
-siblings).  A3 target order is fixed: peeling commutes, each existential
-spawns an independent child.
+universal picks under ``a2_anywhere``, an option of basic only, which
+enables consuming a universal literal sitting inside a non-unit clause
+and discarding its siblings).  A3 target order is fixed: peeling
+commutes, each existential spawns an independent child.
 
 A family is complete when no rule applies to any member.  ``_plan``,
 the scheduler above, is the only code that decides applicability, so
-:func:`is_complete` is ``_plan`` finding no step.  A2+ and A3 apply only
-to an all-unit member; a member holding the empty clause is not one.
+:func:`is_complete` is ``_plan`` finding no step, and
+:func:`replay_trace` accepts a recorded step only when it is one of the
+alternatives ``_plan`` offers at its parent.  A2+ and A3 apply only to
+an all-unit member; a member holding the empty clause is not one.
 
 A member is clashed when it contains the empty clause or two
 complementary unit clauses (names, or ``exists R.F`` against
@@ -48,17 +50,13 @@ is the empty set, which is what every input clause has.  The maps of a
 node are computed from its parent's only when a failure below needs
 them, so a path that never fails costs no bookkeeping.  A step adds
 entries only for the clauses it adds to a member, and copies that
-member's map only then:
-
-- the unit an A1/A1+ pick at ``c`` makes from ``cl``: ``deps(cl) | c``;
-- a clause A1+ strips the complement from, ``d``: ``deps(d) | deps(cl)
-  | c``;
-- a clause whose existentials A2/A2+ merge the universal of clause
-  ``u`` into, ``d``: ``deps(d) | deps(u)``, and ``| c`` when the step is
-  an ``a2_anywhere`` pick;
-- every clause of the member A3 peels off existential unit ``e``:
-  ``deps(e)``;
-- a clause the member already holds keeps its own set.
+member's map only then.  The sets are read off the rules' derivations,
+the one place each member rule's transformation is written (one for A1
+and A1+, one for A2 and A2+): each yields every clause of the result
+with the clauses it comes from, and a clause a step adds gets the union
+of their sets, plus ``c`` when the step is a pick at choice point ``c``.
+Every clause of the member A3 peels off existential unit ``e`` gets the
+set of ``e``.
 
 A clash's set is the set of the empty clause, or the union of the sets
 of the two complementary units.  The failure passes up the stack: at a
@@ -107,7 +105,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping
 from types import MappingProxyType
 from typing import Optional
 
@@ -177,39 +175,25 @@ class ResourceLimitError(Exception):
 
 # --- Rule applications --------------------------------------------------
 
-
-def apply_a1(f: ClauseSet, cl: Clause, lit: Literal) -> ClauseSet:
-    """Collapse clause ``cl`` to the chosen literal."""
-    if cl not in f:
-        raise PreconditionError("target clause not in clause set")
-    if lit not in cl:
-        raise PreconditionError("chosen literal not in target clause")
-    if len(cl) < 2:
-        raise PreconditionError("A1 targets clauses with at least two literals")
-    return ClauseSet(
-        (Clause((lit,)) if c == cl else c) for c in f
-    )
+# A derivation: every clause of a rule's result, with the clauses of the
+# member it comes from (none for a clause kept as it is).
+Derivation = Iterator[tuple[Clause, tuple[Clause, ...]]]
 
 
-def apply_a1_plus(f: ClauseSet, cl: Clause, lit: Literal) -> ClauseSet:
-    """Collapse every clause containing the chosen literal and strip its
-    complement everywhere (possibly leaving an empty clause)."""
-    if cl not in f:
-        raise PreconditionError("target clause not in clause set")
-    if lit not in cl:
-        raise PreconditionError("chosen literal not in target clause")
-    if len(cl) < 2:
-        raise PreconditionError("A1+ targets clauses with at least two literals")
-    comp = complement(lit)
-    out = []
-    for c in f:
-        if lit in c:
-            out.append(Clause((lit,)))
-        elif comp in c:
-            out.append(c.without(comp))
+def _derive_a1(f: ClauseSet, cl: Clause, lit: Literal, plus: bool) -> Derivation:
+    """A1, or A1+ when ``plus``, picking ``lit`` in clause ``cl`` of
+    ``f``.  The unit ``{lit}`` comes from ``cl``; under A1+ it also
+    replaces every other clause holding ``lit``, and a clause holding
+    its complement loses it and comes from itself and ``cl``."""
+    unit = Clause((lit,))
+    comp = complement(lit) if plus else None
+    for c in f.clauses:
+        if c is cl or (plus and lit in c.literals):
+            yield unit, (cl,)
+        elif plus and comp in c.literals:
+            yield c.without(comp), (c, cl)
         else:
-            out.append(c)
-    return ClauseSet(out)
+            yield c, ()
 
 
 def _merged(c: Clause, univ: ForallLit) -> Clause:
@@ -226,14 +210,48 @@ def _merged(c: Clause, univ: ForallLit) -> Clause:
     )
 
 
+def _derive_a2(f: ClauseSet, univ: ForallLit, premise: Clause) -> Derivation:
+    """A2 (and A2+) consuming ``univ`` from ``premise``, a clause of
+    ``f`` holding it.  The clauses holding it go; a clause whose
+    existentials of its role take its body comes from itself and
+    ``premise``."""
+    for c in f.clauses:
+        if univ not in c.literals:
+            merged = _merged(c, univ)
+            yield merged, (() if merged is c else (c, premise))
+
+
+def _check_a1_target(rule: str, f: ClauseSet, cl: Clause, lit: Literal) -> None:
+    if cl not in f:
+        raise PreconditionError("target clause not in clause set")
+    if lit not in cl:
+        raise PreconditionError("chosen literal not in target clause")
+    if len(cl) < 2:
+        raise PreconditionError(f"{rule} targets clauses with at least two literals")
+
+
+def apply_a1(f: ClauseSet, cl: Clause, lit: Literal) -> ClauseSet:
+    """Collapse clause ``cl`` to the chosen literal."""
+    _check_a1_target(RULE_A1, f, cl, lit)
+    return ClauseSet([c for c, _ in _derive_a1(f, cl, lit, False)])
+
+
+def apply_a1_plus(f: ClauseSet, cl: Clause, lit: Literal) -> ClauseSet:
+    """Collapse every clause containing the chosen literal and strip its
+    complement everywhere (possibly leaving an empty clause)."""
+    _check_a1_target(RULE_A1_PLUS, f, cl, lit)
+    return ClauseSet([c for c, _ in _derive_a1(f, cl, lit, True)])
+
+
 def apply_a2(f: ClauseSet, univ: Literal) -> ClauseSet:
     """Consume a universal literal: drop clauses holding it, merge its
     body into every same-role existential literal."""
     if not isinstance(univ, ForallLit):
         raise PreconditionError("A2 consumes a universal literal")
-    if not any(univ in c for c in f):
+    premise = next((c for c in f.clauses if univ in c.literals), None)
+    if premise is None:
         raise PreconditionError("universal literal does not occur")
-    return ClauseSet(_merged(c, univ) for c in f if univ not in c)
+    return ClauseSet([c for c, _ in _derive_a2(f, univ, premise)])
 
 
 def apply_a2_plus(f: ClauseSet, univ_unit: Clause) -> ClauseSet:
@@ -326,22 +344,6 @@ class RuleApplication:
     chosen_literal: Optional[Literal]
     result: Family
 
-    def __post_init__(self) -> None:
-        if self.rule in (RULE_A1, RULE_A1_PLUS) and len(self.target_clause) < 2:
-            raise ValueError("A1/A1+ target must have at least two literals")
-        if self.rule in (RULE_A2, RULE_A2_PLUS) and not isinstance(
-            self.chosen_literal, ForallLit
-        ):
-            raise ValueError("A2/A2+ consume a universal literal")
-        if self.rule == RULE_A3:
-            if self.chosen_literal is not None:
-                raise ValueError("A3 records no chosen literal")
-            if not (
-                self.target_clause.is_unit
-                and isinstance(self.target_clause.literals[0], ExistsLit)
-            ):
-                raise ValueError("A3 target must be an existential unit")
-
 
 @dataclass(frozen=True, slots=True)
 class TraceEdge:
@@ -431,7 +433,6 @@ def _plan(
     tried in order.
     """
     basic = strategy is Strategy.BASIC
-    anywhere = a2_anywhere and basic
     a1_rule = RULE_A1 if basic else RULE_A1_PLUS
     a2_rule = RULE_A2 if basic else RULE_A2_PLUS
     for i, f in enumerate(fam.members):
@@ -449,7 +450,7 @@ def _plan(
                 alts: list[tuple[str, int, Clause, Optional[Literal]]] = [
                     (a1_rule, i, c, lit) for lit in lits
                 ]
-                if anywhere:
+                if a2_anywhere:
                     holders: dict[Literal, Clause] = {}
                     for d in f.clauses:
                         for lit in d.literals:
@@ -460,7 +461,7 @@ def _plan(
             else:
                 all_unit = False
         if univs and (basic or all_unit):
-            if anywhere:
+            if a2_anywhere:
                 return [(RULE_A2, i, u, u.literals[0]) for u in univs]
             return [(a2_rule, i, univs[0], univs[0].literals[0])]
         if ex is not None and all_unit:
@@ -501,32 +502,22 @@ def _step_deps(
     """Dependency map of member ``f`` after an A1/A1+/A2/A2+ step on it,
     ``pick`` the bit of the step's choice point (0 for a forced step).
 
-    Only the clauses the step adds to ``f`` get an entry, each the set
-    of the clauses it is derived from plus ``pick``; a clause ``f``
+    Read off the rule's derivation: each clause the step adds to ``f``
+    gets ``pick`` and the sets of the clauses it comes from (those of
+    its first derivation, when several clauses yield it); a clause ``f``
     already holds keeps its own.  Returns ``deps`` itself when the step
     adds no entry, and a copy otherwise.
     """
-    fresh: dict[Clause, int] = {}
     if rule == RULE_A1 or rule == RULE_A1_PLUS:
-        picked = deps.get(target, 0) | pick
-        unit = Clause((lit,))
-        if unit not in f:
-            fresh[unit] = picked
-        if rule == RULE_A1_PLUS:
-            comp = complement(lit)
-            for c in f.clauses:
-                lits = c.literals
-                if comp in lits and lit not in lits:
-                    stripped = c.without(comp)
-                    if stripped not in f:
-                        fresh.setdefault(stripped, deps.get(c, 0) | picked)
+        derivation = _derive_a1(f, target, lit, rule == RULE_A1_PLUS)
     else:
-        consumed = deps.get(target, 0) | pick
-        for c in f.clauses:
-            if lit not in c.literals:
-                merged = _merged(c, lit)
-                if merged is not c and merged not in f:
-                    fresh.setdefault(merged, deps.get(c, 0) | consumed)
+        derivation = _derive_a2(f, lit, target)
+    fresh: dict[Clause, int] = {}
+    for c, sources in derivation:
+        if sources and c not in fresh and c not in f:
+            fresh[c] = pick
+            for s in sources:
+                fresh[c] |= deps.get(s, 0)
     if not fresh:
         return deps
     return {**deps, **fresh}
@@ -562,11 +553,14 @@ def decide_sat(
     Returns a satisfiable verdict with the first complete clash-free
     family found, or an unsatisfiable one once every branch is closed.
     The tree records every visited node including clashed dead ends.
-    Raises :class:`ResourceLimitError` once more than ``max_nodes``
-    families have been materialized, and
+    Raises :class:`ValueError` when ``a2_anywhere`` is asked of a
+    strategy other than basic, :class:`ResourceLimitError` once more
+    than ``max_nodes`` families have been materialized, and
     :class:`~alcsat.normal_form.ClauseBudgetError` when a complement it
     takes would exceed the clause budget.
     """
+    if a2_anywhere and strategy is not Strategy.BASIC:
+        raise ValueError("a2_anywhere applies to the basic strategy only")
     root = Family((f,))
     tree = DerivationTree(nodes=[root])
     depth_bound = f.depth
@@ -758,7 +752,8 @@ def decode_trace(trace: object) -> DecodedTrace:
 
     Raises :class:`TraceFormatError` on anything else: not an object, a
     ``format`` other than 2 (or none), a missing field, an unknown
-    strategy or verdict, a malformed value table (see
+    strategy or verdict, ``a2_anywhere`` on a strategy other than basic,
+    a malformed value table (see
     :func:`~alcsat.normal_form.values_from_json`), an index into the
     table that is out of range or names a value of the wrong kind, and
     a node, member or clash-node index out of range.
@@ -773,6 +768,8 @@ def decode_trace(trace: object) -> DecodedTrace:
         a2_anywhere = trace["options"]["a2_anywhere"]
         if type(a2_anywhere) is not bool:
             raise ValueError(f"option a2_anywhere is {a2_anywhere!r}, not a boolean")
+        if a2_anywhere and strategy is not Strategy.BASIC:
+            raise ValueError("a2_anywhere applies to the basic strategy only")
         if trace["verdict"] not in ("sat", "unsat"):
             raise ValueError(f"verdict {trace['verdict']!r} is neither 'sat' nor 'unsat'")
         stats = DecisionStats(**trace["stats"])
@@ -839,44 +836,35 @@ def trace_to_dot(trace: dict) -> str:
 
 
 def replay_trace(trace: dict) -> list[str]:
-    """Re-apply every recorded step of a format-2 trace and cross-check it.
+    """Check every recorded step of a format-2 trace against the scheduler
+    and re-apply it.
 
     Returns a list of human-readable problems; an empty list means the
-    trace is internally consistent: each edge's rule application
-    reproduces the child family (an A2 step on a clause of the member
-    that holds its universal, and on a clause that is not a unit only
-    under the recorded ``a2_anywhere``), clash marks are
-    exactly the clashed nodes, the verdict matches the recorded tree,
-    and the recorded stats count its nodes and clashes.  Raises
-    :class:`TraceFormatError` as :func:`decode_trace` does, so a trace
-    of another format is rejected, not replayed.
+    trace is internally consistent: no edge leaves a clash node, each
+    edge's step is one of the alternatives ``_plan`` offers at its
+    parent under the recorded strategy and ``a2_anywhere``, re-applying
+    it reproduces the child family, clash marks are exactly the clashed
+    nodes, the verdict matches the recorded tree (a node is complete
+    when its plan is empty), and the recorded stats count its nodes and
+    clashes.  Raises :class:`TraceFormatError` as :func:`decode_trace`
+    does, so a trace of another format is rejected, not replayed, and
+    :class:`~alcsat.normal_form.ClauseBudgetError` when a clash check
+    takes a complement over the clause budget.
     """
     decoded = decode_trace(trace)
-    nodes, clashes = decoded.nodes, decoded.clash_nodes
+    nodes, clashes, strategy = decoded.nodes, decoded.clash_nodes, decoded.strategy.value
+    plans = [
+        None if i in clashes else _plan(fam, decoded.strategy, decoded.a2_anywhere)
+        for i, fam in enumerate(nodes)
+    ]
     problems: list[str] = []
     for parent, rule, member, target, lit, child in decoded.edges:
-        if rule == RULE_A2:
-            # apply_a2 reads only the universal, so check its clause here.
-            if lit not in target or target not in nodes[parent].members[member]:
-                problems.append(
-                    f"edge {parent}->{child}: A2 target is not a clause of the member"
-                    " holding the consumed universal"
-                )
-                continue
-            if not target.is_unit and not decoded.a2_anywhere:
-                problems.append(
-                    f"edge {parent}->{child}: A2 on a clause that is not a unit needs a2_anywhere"
-                )
-                continue
-        try:
-            result = _apply_planned(nodes[parent], rule, member, target, lit)
-        except (PreconditionError, ValueError) as exc:
-            problems.append(f"edge {parent}->{child}: {exc}")
-            continue
-        if result != nodes[child]:
-            problems.append(
-                f"edge {parent}->{child}: replayed family differs from recorded one"
-            )
+        if parent in clashes:
+            problems.append(f"edge {parent}->{child}: leaves a clash node")
+        elif (rule, member, target, lit) not in (plans[parent] or ()):
+            problems.append(f"edge {parent}->{child}: not a step the {strategy} scheduler offers")
+        elif _apply_planned(nodes[parent], rule, member, target, lit) != nodes[child]:
+            problems.append(f"edge {parent}->{child}: replayed family differs from recorded one")
     # Nodes share most members with their parents: check each value once.
     clash_of: dict[ClauseSet, bool] = {}
     for i, fam in enumerate(nodes):
@@ -890,10 +878,7 @@ def replay_trace(trace: dict) -> list[str]:
             # Clash marks are only recorded for visited nodes, and every
             # recorded node was visited, so this is a hard mismatch.
             problems.append(f"node {i}: clash mark disagrees with family content")
-    has_open_complete = any(
-        i not in clashes and is_complete(fam, decoded.strategy)
-        for i, fam in enumerate(nodes)
-    )
+    has_open_complete = any(p is None and i not in clashes for i, p in enumerate(plans))
     if decoded.satisfiable and not has_open_complete:
         problems.append("verdict sat but no complete clash-free node recorded")
     if not decoded.satisfiable and has_open_complete:

@@ -10,7 +10,18 @@ from pathlib import Path
 import pytest
 
 from alcsat.cli import main
-from alcsat.engine import TraceFormatError, trace_to_dot
+from alcsat.clause_model import Family
+from alcsat.engine import (
+    DecisionStats,
+    DerivationTree,
+    Strategy,
+    TraceFormatError,
+    Verdict,
+    trace_to_dot,
+    trace_to_json,
+)
+from alcsat.normal_form import to_cnf
+from alcsat.syntax import parse_concept
 from conftest import ANIMAL_TEXT
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -104,6 +115,25 @@ def test_check_strategy_flag_and_trace_files(tmp_path, capsys):
     assert dot.count("->") == 7
 
 
+def test_check_a2_anywhere_needs_the_basic_strategy(capsys):
+    # The option changes only the basic scheduler, so under plus it
+    # would be recorded without taking effect.
+    assert main(["check", "--strategy", "plus", "--a2-anywhere", "A"]) == 2
+    assert main(["check", "--a2-anywhere", "A"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "--a2-anywhere needs --strategy basic\n" * 2
+    assert main(["check", "--strategy", "basic", "--a2-anywhere", "A"]) == 0
+
+
+@pytest.mark.parametrize("command", ["check", "cnf", "trace-replay"])
+def test_file_that_is_not_utf8_exits_2(tmp_path, capsys, command):
+    path = tmp_path / "latin1"
+    path.write_bytes(b"\xff")
+    assert main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "can't decode byte 0xff" in err and err.count("\n") == 1
+
+
 def test_check_model_output(capsys):
     assert main(["check", "--model", "A & exists R.B"]) == 0
     out = capsys.readouterr().out.splitlines()
@@ -172,6 +202,20 @@ def test_trace_replay_rejects_tampered_trace(tmp_path, capsys):
     trace_path.write_text(json.dumps(trace))
     capsys.readouterr()
     assert main(["trace-replay", str(trace_path)]) == 1
+
+
+def test_trace_replay_clause_budget_exits_4(tmp_path, capsys):
+    # The clash check complements the existential: 2^14 clauses, over
+    # the budget.  The search would stop there too, so the one-node
+    # trace is written by hand.
+    body = " & ".join(f"(A{i} | B{i})" for i in range(14))
+    root = Family((to_cnf(parse_concept(f"exists R.({body})")),))
+    verdict = Verdict(True, 0, DerivationTree(nodes=[root]), DecisionStats(1, 0, 0, 0), False)
+    trace_path = tmp_path / "t.json"
+    trace_path.write_text(json.dumps(trace_to_json(verdict, Strategy.PLUS)))
+    assert main(["trace-replay", str(trace_path)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("resource limit: ") and err.count("\n") == 1
 
 
 def test_trace_replay_missing_file_exit_2(capsys):
@@ -309,6 +353,16 @@ def test_trace_replay_rejects_a_missing_or_other_format(tmp_path, capsys):
 
     assert "trace format None, not 2" in _replay_malformed(tmp_path, capsys, drop_format)
     assert "trace format 1, not 2" in _replay_malformed(tmp_path, capsys, format_1)
+
+
+def test_trace_replay_rejects_a2_anywhere_on_a_plus_trace(tmp_path, capsys):
+    def claim_a2_anywhere(trace):
+        assert trace["strategy"] == "plus"
+        trace["options"]["a2_anywhere"] = True
+        return trace
+
+    err = _replay_malformed(tmp_path, capsys, claim_a2_anywhere)
+    assert "a2_anywhere applies to the basic strategy only" in err
 
 
 def test_trace_demo_writes_traces_that_replay(tmp_path, capsys):

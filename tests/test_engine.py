@@ -14,7 +14,9 @@ from alcsat.engine import (
     NotAllUnitError,
     PreconditionError,
     ResourceLimitError,
+    RuleApplication,
     Strategy,
+    TraceEdge,
     UniversalPresentError,
     apply_a1,
     apply_a1_plus,
@@ -33,6 +35,7 @@ from alcsat.engine import (
     _apply_planned,
     _clash_deps,
     _clause_set_depth,
+    _plan,
 )
 from alcsat.normal_form import (
     EMPTY_CLAUSE_SET,
@@ -641,9 +644,7 @@ def test_replay_uses_the_recorded_a2_anywhere():
     assert trace["options"] == {"a2_anywhere": True}
     assert replay_trace(trace) == []
     trace["options"]["a2_anywhere"] = False
-    assert replay_trace(trace) == [
-        "edge 0->3: A2 on a clause that is not a unit needs a2_anywhere"
-    ]
+    assert replay_trace(trace) == ["edge 0->3: not a step the basic scheduler offers"]
 
 
 def test_replay_checks_the_a2_target_clause():
@@ -654,6 +655,48 @@ def test_replay_checks_the_a2_target_clause():
     # {Animal}, a unit of the same member without the universal.
     edge["clause"] = trace["values"].index(["clause", [0]])
     assert replay_trace(trace) == [
-        f"edge {edge['from']}->{edge['to']}: A2 target is not a clause of the member"
-        " holding the consumed universal"
+        f"edge {edge['from']}->{edge['to']}: not a step the basic scheduler offers"
     ]
+
+
+def test_replay_reports_a_step_the_scheduler_does_not_take():
+    # A1+ on the second non-unit clause meets the rule's preconditions,
+    # but the scheduler branches on the first.  The nodes and the step
+    # below are re-encoded to match, so every edge re-applies exactly.
+    f = to_cnf(parse_concept("(A | B) & (C | D)"))
+    first, second = f.clauses
+    verdict = decide_sat(f, Strategy.PLUS)
+    tree = verdict.tree
+    assert len(tree.nodes) == 3
+    tree.nodes[1] = Family((apply_a1_plus(f, second, second.literals[0]),))
+    steps = [(0, second, 1), (1, first, 2)]
+    tree.edges = [
+        TraceEdge(p, RuleApplication("A1+", 0, c, c.literals[0], tree.nodes[k]), k)
+        for p, c, k in steps
+    ]
+    assert replay_trace(trace_to_json(verdict, Strategy.PLUS)) == [
+        "edge 0->1: not a step the plus scheduler offers"
+    ]
+
+
+def test_replay_reports_an_edge_out_of_a_clash_node():
+    # Node 1 holds the empty clause, and its plan still offers A1+ on
+    # (C | D); the appended child re-applies exactly and is clashed too.
+    verdict = decide_sat(to_cnf(parse_concept("(A | B) & !A & (C | D)")), Strategy.PLUS)
+    tree = verdict.tree
+    assert tree.clash_nodes == [1]
+    step = _plan(tree.nodes[1], Strategy.PLUS, False)[0]
+    child = _apply_planned(tree.nodes[1], *step)
+    tree.nodes.append(child)
+    tree.edges.append(TraceEdge(1, RuleApplication(*step, child), 4))
+    tree.clash_nodes.append(4)
+    verdict.stats.nodes_expanded += 1
+    verdict.stats.clashes += 1
+    assert replay_trace(trace_to_json(verdict, Strategy.PLUS)) == [
+        "edge 1->4: leaves a clash node"
+    ]
+
+
+def test_a2_anywhere_is_rejected_outside_basic():
+    with pytest.raises(ValueError, match="basic strategy only"):
+        decide_sat(ANIMAL_CNF, Strategy.PLUS, a2_anywhere=True)

@@ -36,6 +36,15 @@ as long as some caller refers to it, and the table is not a cache.
 un-interned value can exist.  Values are immutable; assigning an
 attribute raises.
 
+The complement of a quantified literal, ``forall R.CNF(!F)`` for
+``exists R.F`` and symmetrically, is built from ``F``'s clauses, not by
+re-expanding ``F`` to a concept: ``!F`` is the disjunction, over the
+clauses of ``F``, of the conjunction of their literals' complements, so
+each complement nested in ``F`` is itself a complement, looked up in
+the cache that :func:`complement` keeps or built once.  Its result is
+the clause set :func:`to_cnf` makes of ``!F``, ``top``/``bot``
+simplification included.
+
 The distribution step is the naive one and can blow up exponentially
 in clause count; see the README for the trade-off.  A disjunction whose
 distribution would yield more than :data:`MAX_CLAUSES` clauses raises
@@ -45,7 +54,8 @@ negates.  The conversions keep their own stacks, so deep nesting needs
 no call stack.
 
 Everything here is pure over immutable values and concurrently callable;
-a lock makes interning a new value atomic.
+a lock makes interning a new value atomic, and another a complement's
+insertion into the cache.
 """
 
 from __future__ import annotations
@@ -53,7 +63,7 @@ from __future__ import annotations
 import threading
 import weakref
 from _weakref import _remove_dead_weakref
-from functools import lru_cache, partial
+from functools import partial
 from math import prod
 from operator import attrgetter
 from typing import Iterable, Iterator, Union
@@ -496,29 +506,163 @@ def clause_set_to_concept(f: ClauseSet) -> Concept:
     return node
 
 
-# The cache holds its literals strongly; its bound is what it can keep
-# alive past their last use.
-@lru_cache(maxsize=4096)
+# The complement cache, from literal to complement, oldest first.  It
+# holds its literals strongly; its bound is what it can keep alive past
+# their last use.  Unlike functools.lru_cache, it can be read without
+# computing a missing entry, so a conversion that keeps its own stack
+# can look the complements nested in a body up in it.
+_COMPLEMENTS: dict = {}
+_COMPLEMENTS_MAX = 4096
+_COMPLEMENTS_LOCK = threading.Lock()  # makes an insertion and its eviction atomic
+_DUAL = {Pos: Neg, Neg: Pos, ExistsLit: ForallLit, ForallLit: ExistsLit}
+
+
 def complement(lit: Literal) -> Literal:
     """Complementary literal: names flip sign; ``exists R.F`` pairs with
     ``forall R.CNF(!F)`` and symmetrically.
 
+    ``CNF(!F)`` is the clause set :func:`to_cnf` makes of ``!F``, built
+    from ``F``'s clauses: each clause of ``F`` becomes the conjunction of
+    its literals' complements, and the disjunction of those is
+    distributed to clauses as :func:`to_cnf` distributes ``|``.  The
+    nested complements that :func:`to_nnf` would simplify are simplified
+    the same way: ``forall S.{}`` (``forall S.top``, true) drops out of
+    its conjunction, and ``exists S.{{}}`` (``exists S.bot``, false)
+    drops its whole disjunct.  A clause of ``F`` that is empty, or whose
+    complements all drop out, makes ``CNF(!F)`` the empty set (true); if
+    no disjunct is left, it is ``{{}}`` (false).  The outer literal is
+    kept as it is: the complement of ``exists R.{{}, ...}`` is
+    ``forall R.{}``.
+
     For names the complement is an involution; for quantified literals a
     double complement is semantically (not necessarily syntactically)
-    equivalent to the original.  Results are cached (a quantified
-    complement costs a clause-set conversion), in a bounded cache.
-    Raises :class:`ClauseBudgetError` when that conversion would exceed
-    the clause budget.
+    equivalent to the original.  Complements are cached in a bounded
+    cache that forgets its oldest entries first, nested complements
+    too: the clash checks, A1+ and the tableau checks ask for the same
+    complements again and again, a hit costs one look-up, and a miss
+    builds only the complements under ``lit`` that the cache does not
+    hold.  ``complement.cache_clear()`` empties it.  Raises
+    :class:`ClauseBudgetError` when a disjunction the result needs
+    would distribute to more than :data:`MAX_CLAUSES` clauses; one that
+    drops out is never distributed.
     """
-    if isinstance(lit, Pos):
-        return Neg(lit.name)
-    if isinstance(lit, Neg):
-        return Pos(lit.name)
-    if isinstance(lit, ExistsLit):
-        return ForallLit(lit.role, to_cnf(Not(clause_set_to_concept(lit.body))))
-    if isinstance(lit, ForallLit):
-        return ExistsLit(lit.role, to_cnf(Not(clause_set_to_concept(lit.body))))
-    raise TypeError(f"not a Literal: {lit!r}")
+    comp = _COMPLEMENTS.get(lit)
+    if comp is None:
+        comp = _complement_miss(lit)
+    return comp
+
+
+def _cache_clear() -> None:
+    with _COMPLEMENTS_LOCK:
+        _COMPLEMENTS.clear()
+
+
+complement.cache_clear = _cache_clear
+
+
+def _complement_miss(lit: Literal) -> Literal:
+    """The complement of ``lit``, which the cache does not hold, added
+    to the cache with those made on the way."""
+    kind = type(lit)
+    if kind is Pos or kind is Neg:
+        comp = _DUAL[kind](lit.name)
+        _remember(((lit, comp),))
+        return comp
+    if kind is not ExistsLit and kind is not ForallLit:
+        raise TypeError(f"not a Literal: {lit!r}")
+    made = _complement_quantified(lit)
+    _remember((q, c) for q, c in made.items() if not isinstance(c, ClauseBudgetError))
+    comp = made[lit]
+    if isinstance(comp, ClauseBudgetError):
+        raise comp
+    return comp
+
+
+def _remember(pairs: Iterable[tuple]) -> None:
+    """Add these (literal, complement) pairs to the cache, forgetting
+    the oldest entries past its bound."""
+    with _COMPLEMENTS_LOCK:
+        for lit, comp in pairs:
+            if len(_COMPLEMENTS) >= _COMPLEMENTS_MAX:
+                del _COMPLEMENTS[next(iter(_COMPLEMENTS))]
+            _COMPLEMENTS[lit] = comp
+
+
+def _complement_quantified(lit: Literal) -> dict:
+    """The complements of ``lit`` and of every literal under it that
+    the cache does not hold, by literal.  A complement whose body would
+    exceed the clause budget is the ClauseBudgetError instead, kept
+    until a disjunct that needs it is distributed; one that drops out
+    never is."""
+    made: dict = {}
+    # The stack of quantified literals still to complement: one waits,
+    # pushed again, under those in its body that are neither made nor
+    # cached.
+    todo = [lit]
+    while todo:
+        q = todo.pop()
+        if q in made:  # pushed twice, by two literals sharing it
+            continue
+        missing = []
+        conjunctions = []
+        for cl in q.body.clauses:
+            comps = []
+            for n in cl.literals:
+                c = _COMPLEMENTS.get(n) or made.get(n)
+                if c is None:
+                    kind = type(n)
+                    if kind is Pos or kind is Neg:
+                        c = made[n] = _DUAL[kind](n.name)
+                    else:
+                        missing.append(n)
+                comps.append(c)
+            conjunctions.append(comps)
+        if missing:
+            todo.append(q)
+            todo += missing
+            continue
+        body = _negated_body(conjunctions)
+        made[q] = body if isinstance(body, ClauseBudgetError) else _DUAL[type(q)](q.role, body)
+    return made
+
+
+def _negated_body(conjunctions: list[list]) -> ClauseSet | ClauseBudgetError:
+    """The clause set of the disjunction of ``conjunctions``, each the
+    complements of one clause's literals (or the error that stopped
+    one), simplified and distributed as :func:`complement` describes;
+    or the error that stops it."""
+    disjuncts = []
+    for comps in conjunctions:
+        kept = []
+        for c in comps:
+            if type(c) is ForallLit and c.body is EMPTY_CLAUSE_SET:
+                continue
+            if type(c) is ExistsLit and c.body is FALSE_CLAUSE_SET:
+                break
+            kept.append(c)
+        else:
+            if not kept:
+                return EMPTY_CLAUSE_SET
+            disjuncts.append(kept)
+    if not disjuncts:
+        return FALSE_CLAUSE_SET
+    for kept in disjuncts:
+        for c in kept:
+            if isinstance(c, ClauseBudgetError):
+                return c
+    # As the | combine of _clauses_of_nnf: the budget counts each
+    # conjunction's literals before de-duplication, the one-literal
+    # disjuncts make one clause between them, and each longer one
+    # multiplies the clauses so far.
+    sizes = [len(kept) for kept in disjuncts if len(kept) != 1]
+    if len(disjuncts) > 1 and prod(sizes) > MAX_CLAUSES:
+        return ClauseBudgetError(prod(sizes))
+    clauses = (Clause(kept[0] for kept in disjuncts if len(kept) == 1),)
+    for kept in disjuncts:
+        if len(kept) != 1:
+            kept = _canonical(kept)
+            clauses = _canonical(Clause(cl.literals + (c,)) for cl in clauses for c in kept)
+    return ClauseSet(clauses)
 
 
 def is_canonical_clause_set(f: ClauseSet) -> bool:

@@ -2,24 +2,52 @@
 
 from __future__ import annotations
 
-import hypothesis.strategies as st
-import pytest
-
+import shutil
+import sys
+import tempfile
 from functools import cache
+from pathlib import Path
 from typing import Optional
 
+import hypothesis.strategies as st
+import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
+
 from alcsat.clause_model import Family, FamilyEdge
-from alcsat.engine import Strategy, _apply_planned, _plan
+from alcsat.engine import Strategy, Verdict, _apply_planned, _plan, decide_sat
 from alcsat.normal_form import (
     Clause,
     ClauseSet,
     ExistsLit,
     ForallLit,
+    Literal,
     Neg,
     Pos,
+    clause_set_to_concept,
     complement,
+    to_cnf,
 )
-from alcsat.syntax import And, Bottom, Exists, Forall, Name, Not, Or, Top
+from alcsat.syntax import And, Bottom, Exists, Forall, Name, Not, Or, Top, parse_concept
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# Every run draws the same examples and writes no example database, so
+# two runs of the suite test the same cases.  Each test's own
+# ``max_examples`` still applies.
+settings.register_profile("alcsat", derandomize=True, database=None)
+settings.load_profile("alcsat")
+
+
+def pytest_configure(config):
+    """Hypothesis also caches what it reads from source files, while
+    tests are collected, under its home directory: by default
+    ``.hypothesis/`` in the working directory.  A temporary one keeps
+    it out of the checkout."""
+    home = tempfile.mkdtemp(prefix="hypothesis-")
+    set_hypothesis_home_dir(home)
+    config.add_cleanup(lambda: shutil.rmtree(home, ignore_errors=True))
+
 
 # One satisfiable concept whose decision runs need backtracking under both
 # rule systems; all golden expectations below are frozen from its known
@@ -159,6 +187,18 @@ def chronological_search(
     return explore(0), nodes, clashes
 
 
+def complement_by_round_trip(lit: Literal) -> Literal:
+    """The complement as the definition reads: a quantified literal's
+    body re-expanded to a concept, negated and normalized by ``to_cnf``.
+    ``complement`` builds the same literal from the body's clauses."""
+    if isinstance(lit, Pos):
+        return Neg(lit.name)
+    if isinstance(lit, Neg):
+        return Pos(lit.name)
+    dual = ForallLit if isinstance(lit, ExistsLit) else ExistsLit
+    return dual(lit.role, to_cnf(Not(clause_set_to_concept(lit.body))))
+
+
 def successor_family(n: int) -> str:
     """``n`` independent existentials with a choice each, next to an
     unsatisfiable one: a search that backtracks chronologically through
@@ -195,9 +235,27 @@ small_concepts = st.recursive(_leaves, _extend, max_leaves=6)
 
 @pytest.fixture(scope="session")
 def animal_concept():
-    from alcsat.syntax import parse_concept
-
     return parse_concept(ANIMAL_TEXT)
+
+
+@pytest.fixture(scope="session")
+def search_runs() -> dict[int, list[tuple[Strategy, Verdict]]]:
+    """The decisions of the benchmark's ``search`` inputs (modal 3-CNF
+    and the successor family, under the strategies it runs them with)
+    for seeds 1 and 2, by seed, in the benchmark's order."""
+    bench = str(ROOT / "bench")
+    sys.path.insert(0, bench)
+    try:
+        import workloads
+    finally:
+        sys.path.remove(bench)
+    return {
+        seed: [
+            (s, decide_sat(to_cnf(parse_concept(text)), s))
+            for _, text, s, _ in workloads._search_inputs(seed)
+        ]
+        for seed in (1, 2)
+    }
 
 
 # --- random modal 3-CNF --------------------------------------------------------

@@ -17,12 +17,20 @@ from alcsat.engine import (
     Strategy,
     TraceFormatError,
     Verdict,
+    decide_sat,
     trace_to_dot,
     trace_to_json,
 )
-from alcsat.normal_form import to_cnf
+from alcsat.normal_form import (
+    EMPTY_CLAUSE,
+    EMPTY_CLAUSE_SET,
+    ExistsLit,
+    ForallLit,
+    complement,
+    to_cnf,
+)
 from alcsat.syntax import parse_concept
-from conftest import ANIMAL_TEXT
+from conftest import ANIMAL_TEXT, complement_by_round_trip
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -113,6 +121,26 @@ def test_check_strategy_flag_and_trace_files(tmp_path, capsys):
     dot = trace_dot.read_text()
     assert dot.startswith("digraph")
     assert dot.count("->") == 7
+
+
+def test_check_complements_an_existential_whose_body_holds_the_empty_clause(capsys):
+    text = "exists R.A & forall R.bot & forall R.B"
+    assert main(["check", text]) == 1
+    assert capsys.readouterr().out.split()[:1] == ["UNSAT"]
+    # A2+ merges bot into the existential's body; the clash check then
+    # complements that existential, whose negated body is true.
+    verdict = decide_sat(to_cnf(parse_concept(text)), Strategy.PLUS)
+    merged = [
+        lit
+        for fam in verdict.tree.nodes
+        for m in fam.members
+        for c in m
+        for lit in c
+        if isinstance(lit, ExistsLit) and EMPTY_CLAUSE in lit.body
+    ]
+    assert merged
+    for lit in merged:
+        assert complement(lit) == complement_by_round_trip(lit) == ForallLit("R", EMPTY_CLAUSE_SET)
 
 
 def test_check_a2_anywhere_needs_the_basic_strategy(capsys):
@@ -216,6 +244,31 @@ def test_trace_replay_clause_budget_exits_4(tmp_path, capsys):
     assert main(["trace-replay", str(trace_path)]) == 4
     err = capsys.readouterr().err
     assert err.startswith("resource limit: ") and err.count("\n") == 1
+
+
+def test_trace_replay_of_a_deeply_nested_member_needs_no_call_stack(tmp_path, capsys):
+    # One node whose one member is exists R.(exists R.(... A)), 3,000
+    # deep: the clash check complements it.  The node is not complete,
+    # so the recorded SAT verdict does not replay.
+    values = [["pos", "A"], ["clause", [0]], ["clause_set", [1]]]
+    for _ in range(3000):
+        k = len(values)
+        values += [["exists", "R", k - 1], ["clause", [k]], ["clause_set", [k + 1]]]
+    trace = {
+        "format": 2,
+        "strategy": "plus",
+        "options": {"a2_anywhere": False},
+        "verdict": "sat",
+        "stats": {"nodes_expanded": 1, "clashes": 0, "max_depth": 0, "backjumps": 0},
+        "values": values,
+        "nodes": [{"members": [len(values) - 1], "edges": []}],
+        "edges": [],
+        "clash_nodes": [],
+    }
+    trace_path = tmp_path / "t.json"
+    trace_path.write_text(json.dumps(trace))
+    assert main(["trace-replay", str(trace_path)]) == 1
+    assert capsys.readouterr().err == "verdict sat but no complete clash-free node recorded\n"
 
 
 def test_trace_replay_missing_file_exit_2(capsys):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 
@@ -57,6 +58,7 @@ from conftest import (
     ANIMAL_PLUS_CLASHES,
     ANIMAL_PLUS_EDGES,
     ANIMAL_PLUS_NODES,
+    ANIMAL_TEXT,
     B,
     EX_LEG_NOT_SMALL,
     EX_MERGED_LEG,
@@ -615,6 +617,34 @@ def test_trace_round_trip_on_modal_3cnf_and_the_successor_family():
         f = to_cnf(parse_concept(text))
         for strategy, anywhere in MODES:
             _assert_round_trip(f, strategy, anywhere)
+
+
+#: sha256 of the sorted-key ``trace_to_json`` texts of each run, in
+#: order, as recorded when ``complement`` still normalized the negated
+#: body as a concept.  Complements decide clash checks and A1+, so
+#: a complement that differs anywhere in these runs moves a digest.
+PINNED_TRACE_DIGESTS = {
+    "search seed 1": "c0be54cf25669b83cafdd482d1da6a9d31eb83f85d250b4957acd19e4626fcf5",
+    "search seed 2": "6841535b46992b0b990b6814466a6123119aa4cf1b6ad60bec93d9a50bdef7cd",
+    "animal basic": "b144c2c83c2ae718c3b720ffbd57acb5c167d80be32dd10108eaa287304d91ef",
+    "animal plus": "73bcec0518d9b7765d8d146e4c7f56179419a9bf35ed4bc8c6e129d43b66689e",
+}
+
+
+def _trace_digest(runs) -> str:
+    digest = hashlib.sha256()
+    for strategy, verdict in runs:
+        digest.update(json.dumps(trace_to_json(verdict, strategy), sort_keys=True).encode())
+    return digest.hexdigest()
+
+
+def test_traces_of_the_search_inputs_and_the_animal_goldens_are_pinned(search_runs):
+    animal = to_cnf(parse_concept(ANIMAL_TEXT))
+    digests = {f"search seed {seed}": _trace_digest(runs) for seed, runs in search_runs.items()}
+    for strategy in Strategy:
+        runs = [(strategy, decide_sat(animal, strategy))]
+        digests[f"animal {strategy.value}"] = _trace_digest(runs)
+    assert digests == PINNED_TRACE_DIGESTS
 
 
 @settings(max_examples=60, deadline=None)

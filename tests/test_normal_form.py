@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import random
+from operator import attrgetter
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,9 @@ from alcsat.normal_form import (
     EMPTY_CLAUSE_SET,
     FALSE_CLAUSE_SET,
     MAX_CLAUSES,
+    Clause,
     ClauseBudgetError,
+    ClauseSet,
     ExistsLit,
     ForallLit,
     Neg,
@@ -38,7 +42,15 @@ from alcsat.syntax import (
     Top,
     parse_concept,
 )
-from conftest import ANIMAL_CNF, ANIMAL_TEXT, cl, cs, small_concepts
+from conftest import (
+    ANIMAL_CNF,
+    ANIMAL_TEXT,
+    cl,
+    complement_by_round_trip,
+    concepts,
+    cs,
+    small_concepts,
+)
 
 
 def test_nnf_pushes_negation_through_existential():
@@ -118,10 +130,6 @@ def test_cnf_clause_budget():
     assert err.value.clauses == 2**22
     # A disjunct equivalent to top absorbs the rest: nothing to build.
     assert to_cnf(parse_concept(_pairs(22) + " | top")) == EMPTY_CLAUSE_SET
-    # Complementing exists R.((A0 | B0) & ...) distributes its negation.
-    body = " & ".join(f"(A{i} | B{i})" for i in range(14))
-    with pytest.raises(ClauseBudgetError):
-        complement(to_cnf(parse_concept(f"exists R.({body})")).clauses[0].literals[0])
 
 
 def test_complement_of_names():
@@ -143,6 +151,106 @@ def test_complement_of_universal_with_two_unit_clauses():
     assert comp == ExistsLit("R", cs(cl(Neg("A"), Neg("B"))))
     conj = And(literal_to_concept(lit), literal_to_concept(comp))
     assert not oracle_sat(conj)
+
+
+def _literals(f: ClauseSet) -> list:
+    """Every distinct literal of ``f``, at every nesting level, in the
+    structural order."""
+    found: set = set()
+    todo = [f]
+    while todo:
+        for clause in todo.pop():
+            for lit in clause:
+                if lit not in found:
+                    found.add(lit)
+                    if isinstance(lit, (ExistsLit, ForallLit)):
+                        todo.append(lit.body)
+    return sorted(found, key=attrgetter("key"))
+
+
+def test_complement_matches_round_trip_on_the_search_trees(search_runs):
+    # Every literal of every node the benchmark's search inputs visit,
+    # complemented in one pass, so nested complements come from the
+    # cache as they do in a search.
+    complement.cache_clear()
+    members = {
+        m for runs in search_runs.values() for _, v in runs for n in v.tree.nodes for m in n.members
+    }
+    lits = {lit for m in members for lit in _literals(m)}
+    assert len(lits) > 2000
+    for lit in sorted(lits, key=attrgetter("key")):
+        assert complement(lit) == complement_by_round_trip(lit)
+
+
+@settings(max_examples=100, deadline=None)
+@given(concepts)
+def test_complement_matches_round_trip_on_hypothesis_concepts(c):
+    for lit in _literals(to_cnf(c)):
+        assert complement(lit) == complement_by_round_trip(lit)
+
+
+def _random_literal(rng: random.Random, depth: int):
+    """A literal whose bodies hold up to two clauses of up to two
+    literals each: empty bodies and empty clauses included, which
+    ``to_cnf`` never makes but merged and hand-written bodies hold."""
+    kind = rng.randrange(4 if depth else 2)
+    if kind < 2:
+        return (Pos, Neg)[kind](rng.choice("AB"))
+    body = ClauseSet(
+        Clause(_random_literal(rng, depth - 1) for _ in range(rng.randrange(3)))
+        for _ in range(rng.randrange(3))
+    )
+    return (ExistsLit, ForallLit)[kind - 2](rng.choice("RS"), body)
+
+
+def test_complement_matches_round_trip_on_degenerate_bodies():
+    rng = random.Random(7)
+    nested: set = set()
+    for _ in range(10_000):
+        lit = _random_literal(rng, 3)
+        complement.cache_clear()
+        assert complement(lit) == complement_by_round_trip(lit)
+        if isinstance(lit, (ExistsLit, ForallLit)):
+            nested.update(_literals(lit.body))
+    # The corpus nests each simplified case: forall S.{} (true),
+    # exists S.{{}} and exists S.{{}, ...} (false), and empty bodies.
+    quantified = [n for n in nested if isinstance(n, (ExistsLit, ForallLit))]
+    assert any(isinstance(n, ForallLit) and n.body is EMPTY_CLAUSE_SET for n in quantified)
+    assert any(isinstance(n, ExistsLit) and n.body is EMPTY_CLAUSE_SET for n in quantified)
+    assert any(isinstance(n, ExistsLit) and n.body is FALSE_CLAUSE_SET for n in quantified)
+    assert any(
+        isinstance(n, ExistsLit) and Clause() in n.body and len(n.body) > 1 for n in quantified
+    )
+
+
+def test_complement_budget_matches_round_trip():
+    # Complementing exists R.((A0 | B0) & ...) distributes its negation,
+    # also where the literal is nested.
+    body = " & ".join(f"(A{i} | B{i})" for i in range(14))
+    big = to_cnf(parse_concept(f"exists R.({body})")).clauses[0].literals[0]
+    for lit in (big, ExistsLit("S", cs(cl(big)))):
+        complement.cache_clear()
+        with pytest.raises(ClauseBudgetError) as ours:
+            complement(lit)
+        with pytest.raises(ClauseBudgetError) as reference:
+            complement_by_round_trip(lit)
+        assert ours.value.clauses == reference.value.clauses == 2**14
+    # A disjunct dropped by a false conjunct, or made moot by a true
+    # disjunct, is never distributed.
+    dropped = cl(big, ForallLit("T", EMPTY_CLAUSE_SET))
+    for lit in (ExistsLit("S", cs(dropped, cl(Pos("A")))), ExistsLit("S", cs(cl(), cl(big)))):
+        complement.cache_clear()
+        assert complement(lit) == complement_by_round_trip(lit)
+
+
+def test_complement_of_a_deep_literal_needs_no_call_stack():
+    deep = Pos("A")
+    for _ in range(3000):
+        deep = ExistsLit("R", cs(cl(deep)))
+    complement.cache_clear()
+    comp = complement(deep)
+    assert isinstance(comp, ForallLit) and comp.depth == 3000
+    assert complement(comp) is deep
 
 
 def test_canonicalize_collapses_duplicates_and_orders():

@@ -30,7 +30,13 @@ from alcsat.normal_form import (
     values_from_json,
 )
 from alcsat.syntax import parse_concept
-from conftest import ANIMAL_CNF, chronological_search, modal_3cnf, successor_family
+from conftest import (
+    ANIMAL_CNF,
+    chronological_search,
+    complement_by_round_trip,
+    modal_3cnf,
+    successor_family,
+)
 
 def _build_animal_cnf() -> ClauseSet:
     """The animal clause set, built from scratch in a different order."""
@@ -174,3 +180,42 @@ def test_interning_is_atomic_across_threads():
     assert not any(t.is_alive() for t in threads)
     assert mismatches == []
     assert not any("Thr" in repr(ref()) for ref in list(normal_form._INTERN.values()))
+
+
+def test_complement_cache_is_bounded_and_safe_across_threads():
+    # 7,500 complements in all, nested names included: over the cache's
+    # bound, so threads evict while others insert, and one empties it.
+    lits = [Pos(f"Cc{i}") for i in range(3000)]
+    lits += [
+        ExistsLit("R", ClauseSet([Clause([Neg(f"Cc{i}"), Pos(f"Cd{i}")])])) for i in range(1500)
+    ]
+    expected = {lit: complement_by_round_trip(lit) for lit in lits}
+    workers = 4
+    errors: list = []
+    wrong: list = []
+
+    def work(slot: int) -> None:
+        order = lits[:]
+        random.Random(slot).shuffle(order)
+        try:
+            for i, lit in enumerate(order):
+                if complement(lit) is not expected[lit]:
+                    wrong.append(lit)
+                if slot == 0 and i % 1000 == 999:
+                    complement.cache_clear()
+        except Exception as exc:  # reported below, with the thread's slot
+            errors.append((slot, exc))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(slot,)) for slot in range(workers)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == [] and wrong == []
+    assert len(normal_form._COMPLEMENTS) <= normal_form._COMPLEMENTS_MAX

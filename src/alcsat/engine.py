@@ -90,10 +90,11 @@ values under it, each entry referring to earlier entries by index
 (:class:`~alcsat.normal_form.ValueTable`).  A node's ``members`` and an
 edge's ``clause`` and ``literal`` are indices into it, so a member the
 nodes share, as a node shares all but one with its parent, is written
-and decoded once.  :func:`decode_trace` reads the format back for
-:func:`replay_trace` and :func:`trace_to_dot`, and raises
+and decoded once.  :func:`decode_trace` reads the format back as the
+search's own :class:`Verdict`, edges of :class:`RuleApplication` steps
+and all, for :func:`replay_trace` and :func:`trace_to_dot`, and raises
 :class:`TraceFormatError` on anything else, a trace of another format
-included.
+or one without nodes included.
 
 ``decide_sat`` is a self-contained computation over immutable snapshots;
 concurrent calls are safe and a run's trace is a deterministic function
@@ -107,7 +108,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from collections.abc import Iterator, Mapping
 from types import MappingProxyType
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from alcsat.clause_model import Family, family_to_json, family_from_json
 from alcsat.normal_form import (
@@ -287,26 +288,41 @@ def apply_a3(fam: Family, i: int, ex_unit: Clause) -> Family:
 # --- Clash ---------------------------------------------------------------
 
 
-def is_clash(f: ClauseSet) -> bool:
-    """True iff ``f`` holds the empty clause or a complementary pair of
-    unit clauses: two name units ``A`` and ``!A``, or ``exists R.F``
-    against ``forall R.CNF(!F)`` (structurally)."""
-    positive, negative, quantified = set(), set(), set()
+def _clashes(f: ClauseSet) -> Iterator[tuple[Clause, ...]]:
+    """Every clash of ``f``, lazily: an empty clause as ``(clause,)``,
+    then each pair of complementary unit clauses.  Name units pair by
+    name; a quantified unit pairs with a unit holding its complement,
+    so ``exists R.F`` meets ``forall R.CNF(!F)`` (structurally), and a
+    pair complementary both ways comes twice."""
+    positive: dict[str, Clause] = {}
+    negative: dict[str, Clause] = {}
+    quantified: dict[Literal, Clause] = {}
     for c in f.clauses:
         lits = c.literals
         if not lits:
-            return True
-        if len(lits) == 1:
+            yield (c,)
+        elif len(lits) == 1:
             lit = lits[0]
-            if isinstance(lit, Pos):
-                positive.add(lit.name)
-            elif isinstance(lit, Neg):
-                negative.add(lit.name)
+            if type(lit) is Pos:
+                positive[lit.name] = c
+            elif type(lit) is Neg:
+                negative[lit.name] = c
             else:
-                quantified.add(lit)
-    if not positive.isdisjoint(negative):
-        return True
-    return any(complement(lit) in quantified for lit in quantified)
+                quantified[lit] = c
+    if not positive.keys().isdisjoint(negative):
+        for name in positive.keys() & negative.keys():
+            yield positive[name], negative[name]
+    for lit, c in quantified.items():
+        other = quantified.get(complement(lit))
+        if other is not None:
+            yield c, other
+
+
+def is_clash(f: ClauseSet) -> bool:
+    """True iff ``f`` holds the empty clause or a complementary pair of
+    unit clauses: two name units ``A`` and ``!A``, or ``exists R.F``
+    against ``forall R.CNF(!F)`` (structurally).  Stops at the first."""
+    return next(_clashes(f), None) is not None
 
 
 def _clash_deps(f: ClauseSet, deps: Mapping[Clause, int]) -> int:
@@ -314,39 +330,26 @@ def _clash_deps(f: ClauseSet, deps: Mapping[Clause, int]) -> int:
     of its empty clause, or the union of the sets of two complementary
     units.  Of several clashes, the least set as an integer, which is the
     one whose newest choice point is oldest: it jumps back furthest."""
-    found: list[int] = []
-    units: dict[Literal, Clause] = {}
-    for c in f.clauses:
-        lits = c.literals
-        if not lits:
-            found.append(deps.get(c, 0))
-        elif len(lits) == 1:
-            units[lits[0]] = c
-    for lit, c in units.items():
-        other = units.get(complement(lit))
-        if other is not None:
-            found.append(deps.get(c, 0) | deps.get(other, 0))
-    return min(found)
+    # A clash is one empty clause or two units: its first and last.
+    return min(deps.get(clash[0], 0) | deps.get(clash[-1], 0) for clash in _clashes(f))
 
 
 # --- Derivation trees and verdicts ---------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class RuleApplication:
-    """One rule application: what was applied where, and the family it
-    produced.  ``chosen_literal`` is the picked literal for A1/A1+ and
-    the consumed universal for A2/A2+; it is absent for A3."""
+class RuleApplication(NamedTuple):
+    """One step of a derivation: the rule, and the member and clause it
+    was applied to.  ``chosen_literal`` is the picked literal for A1/A1+
+    and the consumed universal for A2/A2+; it is absent for A3.  A step
+    ``_plan`` offers is a plain 4-tuple equal to its RuleApplication."""
 
     rule: str
     member_index: int
     target_clause: Clause
     chosen_literal: Optional[Literal]
-    result: Family
 
 
-@dataclass(frozen=True, slots=True)
-class TraceEdge:
+class TraceEdge(NamedTuple):
     parent: int
     application: RuleApplication
     child: int
@@ -377,11 +380,16 @@ class DecisionStats:
 
 @dataclass(slots=True)
 class Verdict:
+    """A search's outcome and derivation, as :func:`decide_sat` returns it
+    and :func:`decode_trace` reads it back.  A satisfiable verdict's
+    witness is the tree's last node, where the search stopped."""
+
     satisfiable: bool
     witness: Optional[int]  # node index of the complete clash-free family
     tree: DerivationTree
     stats: DecisionStats
-    a2_anywhere: bool  # the option the search ran with
+    strategy: Strategy  # the rule system and option the search ran with
+    a2_anywhere: bool
 
     @property
     def witness_family(self) -> Family:
@@ -422,9 +430,10 @@ def family_measure(fam: Family, depth_bound: int) -> tuple:
 # --- Search ----------------------------------------------------------------
 
 
-def _plan(
-    fam: Family, strategy: Strategy, a2_anywhere: bool
-) -> Optional[list[tuple[str, int, Clause, Optional[Literal]]]]:
+Step = tuple[str, int, Clause, Optional[Literal]]  # a step's RuleApplication fields
+
+
+def _plan(fam: Family, strategy: Strategy, a2_anywhere: bool) -> Optional[list[Step]]:
     """Alternatives for the next step, or None when no rule applies.
 
     This is the only code that decides which rule applies where; a
@@ -447,9 +456,7 @@ def _plan(
                 elif ex is None and isinstance(lits[0], ExistsLit):
                     ex = c
             elif lits:
-                alts: list[tuple[str, int, Clause, Optional[Literal]]] = [
-                    (a1_rule, i, c, lit) for lit in lits
-                ]
+                alts: list[Step] = [(a1_rule, i, c, lit) for lit in lits]
                 if a2_anywhere:
                     holders: dict[Literal, Clause] = {}
                     for d in f.clauses:
@@ -474,15 +481,13 @@ def is_complete(fam: Family, strategy: Strategy) -> bool:
     return _plan(fam, strategy, False) is None
 
 
-def _apply_planned(
-    fam: Family, rule: str, member: int, target: Clause, lit: Optional[Literal]
-) -> Family:
+def _apply_planned(fam: Family, step: Step) -> Family:
+    """The family ``step`` makes of ``fam``."""
+    rule, member, target, lit = step
     if rule == RULE_A1:
         return fam.replace_member(member, apply_a1(fam.members[member], target, lit))
     if rule == RULE_A1_PLUS:
-        return fam.replace_member(
-            member, apply_a1_plus(fam.members[member], target, lit)
-        )
+        return fam.replace_member(member, apply_a1_plus(fam.members[member], target, lit))
     if rule == RULE_A2:
         return fam.replace_member(member, apply_a2(fam.members[member], lit))
     if rule == RULE_A2_PLUS:
@@ -496,18 +501,24 @@ def _apply_planned(
 _NO_DEPS: Mapping[Clause, int] = MappingProxyType({})
 
 
-def _step_deps(
-    rule: str, f: ClauseSet, deps: Mapping[Clause, int], target: Clause, lit: Literal, pick: int
-) -> Mapping[Clause, int]:
-    """Dependency map of member ``f`` after an A1/A1+/A2/A2+ step on it,
-    ``pick`` the bit of the step's choice point (0 for a forced step).
-
-    Read off the rule's derivation: each clause the step adds to ``f``
-    gets ``pick`` and the sets of the clauses it comes from (those of
-    its first derivation, when several clauses yield it); a clause ``f``
-    already holds keeps its own.  Returns ``deps`` itself when the step
-    adds no entry, and a copy otherwise.
-    """
+def _child_deps(fam: Family, deps: tuple, step: Step, pick: int) -> tuple:
+    """Dependency maps of the family ``step`` makes from ``fam``, whose
+    maps are ``deps``; ``pick`` is the bit of ``fam``'s choice point, 0
+    when its step is forced.  Read off the rule's derivation: each
+    clause an A1/A1+/A2/A2+ step adds to its member gets ``pick`` and
+    the sets of the clauses it comes from (those of its first
+    derivation, when several clauses yield it); a clause the member
+    already holds keeps its own.  Only a map that gains entries is
+    copied."""
+    rule, member, target, lit = step
+    old = deps[member]
+    if rule == RULE_A3:
+        peeled = old.get(target, 0)
+        body = target.literals[0].body
+        return deps + ((dict.fromkeys(body.clauses, peeled) if peeled else _NO_DEPS),)
+    if not (pick or old):
+        return deps  # a forced step among empty sets adds none
+    f = fam.members[member]
     if rule == RULE_A1 or rule == RULE_A1_PLUS:
         derivation = _derive_a1(f, target, lit, rule == RULE_A1_PLUS)
     else:
@@ -517,26 +528,10 @@ def _step_deps(
         if sources and c not in fresh and c not in f:
             fresh[c] = pick
             for s in sources:
-                fresh[c] |= deps.get(s, 0)
+                fresh[c] |= old.get(s, 0)
     if not fresh:
         return deps
-    return {**deps, **fresh}
-
-
-def _child_deps(fam: Family, deps: tuple, step: tuple, pick: int) -> tuple:
-    """Dependency maps of the family ``step`` makes from ``fam``, whose
-    maps are ``deps``; ``pick`` is the bit of ``fam``'s choice point, 0
-    when its step is forced."""
-    rule, member, target, lit = step
-    if rule == RULE_A3:
-        peeled = deps[member].get(target, 0)
-        body = target.literals[0].body
-        return deps + ((dict.fromkeys(body.clauses, peeled) if peeled else _NO_DEPS),)
-    old = deps[member]
-    if not (pick or old):
-        return deps  # a forced step among empty sets adds none
-    new = _step_deps(rule, fam.members[member], old, target, lit, pick)
-    return deps if new is old else deps[:member] + (new,) + deps[member + 1:]
+    return deps[:member] + ({**old, **fresh},) + deps[member + 1:]
 
 
 def decide_sat(
@@ -644,21 +639,20 @@ def decide_sat(
                     conflict |= deps[member].get(target, 0)
                 continue
             entry[6] = k + 1
-            rule, member, target, lit = plan[k]
-            child = _apply_planned(fam, rule, member, target, lit)
+            step = plan[k]
+            child = _apply_planned(fam, step)
             child_measure = family_measure(child, depth_bound)
             assert child_measure < measure, "termination measure failed to decrease"
             if len(tree.nodes) >= max_nodes:
                 raise ResourceLimitError(max_nodes, tree)
             child_id = len(tree.nodes)
             tree.nodes.append(child)
-            tree.edges.append(
-                TraceEdge(node_id, RuleApplication(rule, member, target, lit, child), child_id)
-            )
-            if rule == RULE_A3:
-                child_changed = (member, len(child.members) - 1)
+            app = RuleApplication(*step)
+            tree.edges.append(TraceEdge(node_id, app, child_id))
+            if app.rule == RULE_A3:
+                child_changed = (app.member_index, len(child.members) - 1)
             else:
-                child_changed = (member,)
+                child_changed = (app.member_index,)
             pending = (child_id, child, depth + 1, child_changed, child_measure)
     stats = DecisionStats(
         nodes_expanded=len(tree.nodes),
@@ -666,7 +660,7 @@ def decide_sat(
         max_depth=max_depth_seen,
         backjumps=backjumps,
     )
-    return Verdict(witness is not None, witness, tree, stats, a2_anywhere)
+    return Verdict(witness is not None, witness, tree, stats, strategy, a2_anywhere)
 
 
 def witness_path(verdict: Verdict) -> list[tuple[Family, Optional[RuleApplication]]]:
@@ -698,9 +692,13 @@ def trace_to_json(verdict: Verdict, strategy: Strategy) -> dict:
     ``values`` is a value table (:class:`~alcsat.normal_form.ValueTable`)
     holding each literal, clause and clause set of the tree once; node
     ``members`` and edge ``clause`` / ``literal`` are indices into it.
-    ``options`` and ``stats`` record how the search ran and what it
-    counted.
+    ``strategy``, ``options`` and ``stats`` record how the search ran
+    and what it counted.  ``strategy`` must be the verdict's own: a
+    trace under another rule system would not replay, so it raises
+    :class:`ValueError`.
     """
+    if strategy is not verdict.strategy:
+        raise ValueError(f"cannot trace a {verdict.strategy.value} verdict as {strategy.value}")
     table = ValueTable()
     nodes = [family_to_json(n, table) for n in verdict.tree.nodes]
     edges = []
@@ -728,35 +726,23 @@ def trace_to_json(verdict: Verdict, strategy: Strategy) -> dict:
     }
 
 
-@dataclass(frozen=True, slots=True)
-class DecodedTrace:
-    """A format-2 trace with its values decoded.  ``nodes`` hold the
-    interned values, so they are the recorded tree's own while it lives.
-    Each edge is (from, rule, member, clause, literal or None, to)."""
-
-    strategy: Strategy
-    a2_anywhere: bool
-    satisfiable: bool
-    stats: DecisionStats
-    nodes: list[Family]
-    edges: list[tuple[int, str, int, Clause, Optional[Literal], int]]
-    clash_nodes: frozenset[int]
-
-
 def _in_range(i: object, n: int) -> bool:
     return type(i) is int and 0 <= i < n
 
 
-def decode_trace(trace: object) -> DecodedTrace:
-    """Decode and shape-check a trace :func:`trace_to_json` wrote.
+def decode_trace(trace: object) -> Verdict:
+    """Decode and shape-check a trace :func:`trace_to_json` wrote, as the
+    :class:`Verdict` it was written from.
 
+    Its nodes hold the interned values, so they are the searched tree's
+    own while it lives; a satisfiable trace's witness is its last node.
     Raises :class:`TraceFormatError` on anything else: not an object, a
     ``format`` other than 2 (or none), a missing field, an unknown
     strategy or verdict, ``a2_anywhere`` on a strategy other than basic,
     a malformed value table (see
-    :func:`~alcsat.normal_form.values_from_json`), an index into the
-    table that is out of range or names a value of the wrong kind, and
-    a node, member or clash-node index out of range.
+    :func:`~alcsat.normal_form.values_from_json`), no node, an index
+    into the table that is out of range or names a value of the wrong
+    kind, and a node, member or clash-node index out of range.
     """
     if not isinstance(trace, dict):
         raise TraceFormatError(f"a trace is a JSON object, not {type(trace).__name__}")
@@ -776,13 +762,15 @@ def decode_trace(trace: object) -> DecodedTrace:
         if not all(type(getattr(stats, f)) is int for f in DecisionStats.__slots__):
             raise ValueError(f"stats {trace['stats']!r} are not all integers")
         values = values_from_json(trace["values"])
-        nodes = []
+        tree = DerivationTree()
+        nodes = tree.nodes
         for i, data in enumerate(trace["nodes"]):
             try:
                 nodes.append(family_from_json(data, values))
             except ValueError as exc:
                 raise ValueError(f"node {i}: {exc}") from None
-        edges = []
+        if not nodes:
+            raise ValueError("a trace holds at least its root node")
         for e in trace["edges"]:
             parent, member, child, lit = e["from"], e["member"], e["to"], e["literal"]
             if not (
@@ -799,38 +787,40 @@ def decode_trace(trace: object) -> DecodedTrace:
                     lit = table_ref(values, lit, LITERAL_TYPES)
             except ValueError as exc:
                 raise ValueError(f"edge {parent}->{child}: {exc}") from None
-            edges.append((parent, e["rule"], member, target, lit, child))
-        clash_nodes = frozenset(trace["clash_nodes"])
+            app = RuleApplication(e["rule"], member, target, lit)
+            tree.edges.append(TraceEdge(parent, app, child))
+        tree.clash_nodes = list(trace["clash_nodes"])
     except KeyError as exc:
         raise TraceFormatError(f"missing field {exc}") from exc
     except (TypeError, ValueError, RecursionError) as exc:
         raise TraceFormatError(str(exc)) from exc
-    if not all(_in_range(i, len(nodes)) for i in clash_nodes):
+    if not all(_in_range(i, len(nodes)) for i in tree.clash_nodes):
         raise TraceFormatError("clash node index out of range")
-    return DecodedTrace(
-        strategy, a2_anywhere, trace["verdict"] == "sat", stats, nodes, edges, clash_nodes
-    )
+    sat = trace["verdict"] == "sat"
+    return Verdict(sat, len(nodes) - 1 if sat else None, tree, stats, strategy, a2_anywhere)
 
 
 def trace_to_dot(trace: dict) -> str:
     """Graphviz rendering: node label is the family index, edge label the
-    rule plus its target; clashed nodes are marked, complete clash-free
-    ones doubly circled.  Raises :class:`TraceFormatError` as
-    :func:`decode_trace` does."""
-    decoded = decode_trace(trace)
+    rule plus its target; the recorded clash nodes are marked and the
+    witness of a satisfiable trace doubly circled.  Raises
+    :class:`TraceFormatError` as :func:`decode_trace` does."""
+    verdict = decode_trace(trace)
+    tree = verdict.tree
+    clashes = set(tree.clash_nodes)
     lines = ["digraph derivation {", "  node [shape=circle];"]
-    for i, fam in enumerate(decoded.nodes):
+    for i in range(len(tree.nodes)):
         attrs = [f'label="S{i}"']
-        if i in decoded.clash_nodes:
-            attrs.append('xlabel="clash"')
-            attrs.append("style=dashed")
-        elif is_complete(fam, decoded.strategy) and not any(is_clash(m) for m in fam.members):
+        if i in clashes:
+            attrs += ['xlabel="clash"', "style=dashed"]
+        elif i == verdict.witness:
             attrs.append("shape=doublecircle")
         lines.append(f"  n{i} [{', '.join(attrs)}];")
-    for parent, rule, member, target, _, child in decoded.edges:
-        label = f"{rule} m{member}: {render_concept(clause_to_concept(target))}"
-        label = label.replace('"', '\\"')
-        lines.append(f'  n{parent} -> n{child} [label="{label}"];')
+    for e in tree.edges:
+        app = e.application
+        target = render_concept(clause_to_concept(app.target_clause))
+        label = f"{app.rule} m{app.member_index}: {target}".replace('"', '\\"')
+        lines.append(f'  n{e.parent} -> n{e.child} [label="{label}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -846,24 +836,27 @@ def replay_trace(trace: dict) -> list[str]:
     it reproduces the child family, clash marks are exactly the clashed
     nodes, the verdict matches the recorded tree (a node is complete
     when its plan is empty), and the recorded stats count its nodes and
-    clashes.  Raises :class:`TraceFormatError` as :func:`decode_trace`
-    does, so a trace of another format is rejected, not replayed, and
+    clashes.  The checks read the :class:`Verdict` :func:`decode_trace`
+    makes, the type the search wrote.  Raises :class:`TraceFormatError`
+    as :func:`decode_trace` does, so a trace of another format is
+    rejected, not replayed, and
     :class:`~alcsat.normal_form.ClauseBudgetError` when a clash check
     takes a complement over the clause budget.
     """
-    decoded = decode_trace(trace)
-    nodes, clashes, strategy = decoded.nodes, decoded.clash_nodes, decoded.strategy.value
+    verdict = decode_trace(trace)
+    tree, strategy = verdict.tree, verdict.strategy.value
+    nodes, clashes = tree.nodes, set(tree.clash_nodes)
     plans = [
-        None if i in clashes else _plan(fam, decoded.strategy, decoded.a2_anywhere)
+        None if i in clashes else _plan(fam, verdict.strategy, verdict.a2_anywhere)
         for i, fam in enumerate(nodes)
     ]
     problems: list[str] = []
-    for parent, rule, member, target, lit, child in decoded.edges:
+    for parent, app, child in tree.edges:
         if parent in clashes:
             problems.append(f"edge {parent}->{child}: leaves a clash node")
-        elif (rule, member, target, lit) not in (plans[parent] or ()):
+        elif app not in (plans[parent] or ()):
             problems.append(f"edge {parent}->{child}: not a step the {strategy} scheduler offers")
-        elif _apply_planned(nodes[parent], rule, member, target, lit) != nodes[child]:
+        elif _apply_planned(nodes[parent], app) != nodes[child]:
             problems.append(f"edge {parent}->{child}: replayed family differs from recorded one")
     # Nodes share most members with their parents: check each value once.
     clash_of: dict[ClauseSet, bool] = {}
@@ -879,11 +872,11 @@ def replay_trace(trace: dict) -> list[str]:
             # recorded node was visited, so this is a hard mismatch.
             problems.append(f"node {i}: clash mark disagrees with family content")
     has_open_complete = any(p is None and i not in clashes for i, p in enumerate(plans))
-    if decoded.satisfiable and not has_open_complete:
+    if verdict.satisfiable and not has_open_complete:
         problems.append("verdict sat but no complete clash-free node recorded")
-    if not decoded.satisfiable and has_open_complete:
+    if not verdict.satisfiable and has_open_complete:
         problems.append("verdict unsat but a complete clash-free node exists")
-    stats = decoded.stats
+    stats = verdict.stats
     if stats.nodes_expanded != len(nodes):
         problems.append(f"stats: {stats.nodes_expanded} nodes expanded, {len(nodes)} recorded")
     if stats.clashes != len(clashes):

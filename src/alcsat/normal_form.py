@@ -440,27 +440,30 @@ def _clauses_of_nnf(c: Concept) -> tuple[Clause, ...]:
             del done[-item:]
             done.append(tuple(cl for part in parts for cl in part))
         elif combine is Or:
-            # Cross product of clauses distributes | over &.  The top/bot
-            # encodings fall out: () absorbs, (empty clause,) is the unit.
-            # Disjuncts of one clause each make one clause between them,
-            # built once rather than one literal longer per disjunct.
             parts = done[-item:]
             del done[-item:]
-            sizes = [len(part) for part in parts if len(part) != 1]
-            if 0 not in sizes and prod(sizes) > MAX_CLAUSES:
-                raise ClauseBudgetError(prod(sizes))
-            single = [part[0].literals for part in parts if len(part) == 1]
-            clauses = (Clause(lit for lits in single for lit in lits),)
-            for part in parts:
-                if len(part) != 1:
-                    part = _canonical(part)
-                    clauses = _canonical(
-                        Clause(cl.literals + cr.literals) for cl in clauses for cr in part
-                    )
-            done.append(clauses)
+            done.append(_distribute([[cl.literals for cl in part] for part in parts]))
         else:
             done.append((Clause((combine(item, ClauseSet(done.pop())),)),))
     return done.pop()
+
+
+def _distribute(parts: list[list[tuple[Literal, ...]]]) -> tuple[Clause, ...]:
+    """The clauses of the disjunction of ``parts``, each a conjunction of
+    clauses given by their literals: the cross product distributes ``|``
+    over ``&``, each product put in canonical order.  A part ``[]`` (top)
+    absorbs; parts of one clause make one clause between them, and each
+    longer part multiplies the clauses so far.  Raises
+    :class:`ClauseBudgetError` before building any clause when the
+    product of the parts' sizes before de-duplication is over budget."""
+    sizes = [len(part) for part in parts if len(part) != 1]
+    if len(parts) > 1 and 0 not in sizes and prod(sizes) > MAX_CLAUSES:
+        raise ClauseBudgetError(prod(sizes))
+    clauses = (Clause(lit for part in parts if len(part) == 1 for lit in part[0]),)
+    for part in parts:
+        if len(part) != 1:
+            clauses = _canonical(Clause(cl.literals + lits) for cl in clauses for lits in part)
+    return clauses
 
 
 def to_cnf(c: Concept) -> ClauseSet:
@@ -650,19 +653,10 @@ def _negated_body(conjunctions: list[list]) -> ClauseSet | ClauseBudgetError:
         for c in kept:
             if isinstance(c, ClauseBudgetError):
                 return c
-    # As the | combine of _clauses_of_nnf: the budget counts each
-    # conjunction's literals before de-duplication, the one-literal
-    # disjuncts make one clause between them, and each longer one
-    # multiplies the clauses so far.
-    sizes = [len(kept) for kept in disjuncts if len(kept) != 1]
-    if len(disjuncts) > 1 and prod(sizes) > MAX_CLAUSES:
-        return ClauseBudgetError(prod(sizes))
-    clauses = (Clause(kept[0] for kept in disjuncts if len(kept) == 1),)
-    for kept in disjuncts:
-        if len(kept) != 1:
-            kept = _canonical(kept)
-            clauses = _canonical(Clause(cl.literals + (c,)) for cl in clauses for c in kept)
-    return ClauseSet(clauses)
+    try:
+        return ClauseSet(_distribute([[(c,) for c in kept] for kept in disjuncts]))
+    except ClauseBudgetError as exc:
+        return exc
 
 
 def is_canonical_clause_set(f: ClauseSet) -> bool:
@@ -819,7 +813,9 @@ def table_refs(values: list, indices: object, kind: type | tuple[type, ...]) -> 
 
 def table_ref(values: list, i: object, kind: type | tuple[type, ...]) -> _Value:
     """``values[i]``, checked as :func:`table_refs` checks each index."""
-    return table_refs(values, [i], kind)[0]
+    if type(i) is int and 0 <= i < len(values) and isinstance(values[i], kind):
+        return values[i]
+    return table_refs(values, [i], kind)[0]  # raises the error for ``i``
 
 
 def _interned(cls: type, items: list) -> _Collection:

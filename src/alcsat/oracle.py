@@ -30,38 +30,40 @@ from alcsat.syntax import (
 from alcsat.tableau import Interpretation
 
 
+# What a negation pushed through a concept turns its connective into.
+_DUAL = {And: Or, Or: And, Forall: Exists, Exists: Forall, Top: Bottom, Bottom: Top}
+
+
 def _nnf(c: Concept) -> Concept:
     # Local negation push-down, kept separate from the clause-set pipeline
     # on purpose: a shared bug could mask itself in differential tests.
-    if isinstance(c, (Name, Top, Bottom)):
-        return c
-    if isinstance(c, And):
-        return And(_nnf(c.left), _nnf(c.right))
-    if isinstance(c, Or):
-        return Or(_nnf(c.left), _nnf(c.right))
-    if isinstance(c, Forall):
-        return Forall(c.role, _nnf(c.body))
-    if isinstance(c, Exists):
-        return Exists(c.role, _nnf(c.body))
-    if isinstance(c, Not):
-        inner = c.body
-        if isinstance(inner, Name):
-            return c
-        if isinstance(inner, Top):
-            return Bottom()
-        if isinstance(inner, Bottom):
-            return Top()
-        if isinstance(inner, Not):
-            return _nnf(inner.body)
-        if isinstance(inner, And):
-            return Or(_nnf(Not(inner.left)), _nnf(Not(inner.right)))
-        if isinstance(inner, Or):
-            return And(_nnf(Not(inner.left)), _nnf(Not(inner.right)))
-        if isinstance(inner, Forall):
-            return Exists(inner.role, _nnf(Not(inner.body)))
-        if isinstance(inner, Exists):
-            return Forall(inner.role, _nnf(Not(inner.body)))
-    raise TypeError(f"not a Concept: {c!r}")
+    # Its own stack ``todo`` holds (None, concept, negated) to transform,
+    # or (constructor, role, None) to build from the results on ``done``.
+    done: list[Concept] = []
+    todo: list[tuple] = [(None, c, False)]
+    while todo:
+        ctor, c, negated = todo.pop()
+        if ctor is And or ctor is Or:
+            right = done.pop()
+            done[-1] = ctor(done[-1], right)
+        elif ctor is not None:
+            done[-1] = ctor(c, done[-1])
+        else:
+            while isinstance(c, Not):
+                c, negated = c.body, not negated
+            if isinstance(c, Name):
+                done.append(Not(c) if negated else c)
+            elif isinstance(c, (Top, Bottom)):
+                done.append(_DUAL[type(c)]() if negated else c)
+            elif isinstance(c, (And, Or)):
+                kind = _DUAL[type(c)] if negated else type(c)
+                todo += ((kind, None, None), (None, c.right, negated), (None, c.left, negated))
+            elif isinstance(c, (Forall, Exists)):
+                kind = _DUAL[type(c)] if negated else type(c)
+                todo += ((kind, c.role, None), (None, c.body, negated))
+            else:
+                raise TypeError(f"not a Concept: {c!r}")
+    return done.pop()
 
 
 @dataclass
@@ -75,49 +77,48 @@ class _ModelNode:
 def _expand(todo: list[Concept], pos: frozenset[str], neg: frozenset[str],
             exists: tuple[tuple[str, Concept], ...],
             forall: tuple[tuple[str, Concept], ...]) -> _ModelNode | None:
-    """Saturate one tableau node; return an open-branch model or None."""
-    while todo:
-        c = todo.pop()
-        if isinstance(c, Top):
-            continue
-        if isinstance(c, Bottom):
-            return None
-        if isinstance(c, Name):
-            if c.name in neg:
-                return None
-            pos = pos | {c.name}
-            continue
-        if isinstance(c, Not):
-            # NNF guarantees the body is a name.
-            if c.body.name in pos:
-                return None
-            neg = neg | {c.body.name}
-            continue
-        if isinstance(c, And):
-            todo.append(c.right)
-            todo.append(c.left)
-            continue
-        if isinstance(c, Or):
-            left = _expand(todo + [c.left], pos, neg, exists, forall)
-            if left is not None:
-                return left
-            return _expand(todo + [c.right], pos, neg, exists, forall)
-        if isinstance(c, Exists):
-            exists = exists + ((c.role, c.body),)
-            continue
-        if isinstance(c, Forall):
-            forall = forall + ((c.role, c.body),)
-            continue
-        raise TypeError(f"not a Concept: {c!r}")
-
-    node = _ModelNode(atoms=pos)
-    for role, body in exists:
-        child_todo = [body] + [d for r, d in forall if r == role]
-        child = _expand(child_todo, frozenset(), frozenset(), (), ())
-        if child is None:
-            return None
-        node.children.append((role, child))
-    return node
+    """Saturate one tableau node; return an open-branch model or None.
+    A disjunction's right branch waits on ``branches`` while its left is
+    tried, so only an existential's successor takes a call: one per
+    quantifier nesting level, not one per disjunction."""
+    branches = [(todo, pos, neg, exists, forall)]
+    while branches:
+        todo, pos, neg, exists, forall = branches.pop()
+        while todo:
+            c = todo.pop()
+            if isinstance(c, Or):
+                branches.append((todo + [c.right], pos, neg, exists, forall))
+                todo.append(c.left)
+            elif isinstance(c, And):
+                todo += (c.right, c.left)
+            elif isinstance(c, Exists):
+                exists += ((c.role, c.body),)
+            elif isinstance(c, Forall):
+                forall += ((c.role, c.body),)
+            elif isinstance(c, Name):
+                if c.name in neg:
+                    break  # a clash closes the branch
+                pos |= {c.name}
+            elif isinstance(c, Not):
+                # NNF guarantees the body is a name.
+                if c.body.name in pos:
+                    break
+                neg |= {c.body.name}
+            elif isinstance(c, Bottom):
+                break
+            elif not isinstance(c, Top):
+                raise TypeError(f"not a Concept: {c!r}")
+        else:
+            node = _ModelNode(atoms=pos)
+            for role, body in exists:
+                child_todo = [body] + [d for r, d in forall if r == role]
+                child = _expand(child_todo, frozenset(), frozenset(), (), ())
+                if child is None:
+                    break
+                node.children.append((role, child))
+            else:
+                return node
+    return None
 
 
 def _solve(c: Concept) -> _ModelNode | None:

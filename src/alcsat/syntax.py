@@ -275,19 +275,27 @@ def _render(c: Concept, min_prec: int) -> str:
     if isinstance(c, Bottom):
         return "bot"
     if isinstance(c, Not):
-        return "!" + _render(c.body, _PREC_UNARY)
+        negations = 0  # a run of "!" is counted in a loop, as it is parsed
+        while isinstance(c, Not):
+            negations += 1
+            c = c.body
+        return "!" * negations + _render(c, _PREC_UNARY)
     if isinstance(c, Forall):
         return f"forall {c.role}." + _render(c.body, _PREC_UNARY)
     if isinstance(c, Exists):
         return f"exists {c.role}." + _render(c.body, _PREC_UNARY)
-    if isinstance(c, And):
-        # Right operand must bind strictly tighter so left association
-        # round-trips structurally.
-        s = _render(c.left, _PREC_AND) + " & " + _render(c.right, _PREC_AND + 1)
-        return f"({s})" if _PREC_AND < min_prec else s
-    if isinstance(c, Or):
-        s = _render(c.left, _PREC_OR) + " | " + _render(c.right, _PREC_OR + 1)
-        return f"({s})" if _PREC_OR < min_prec else s
+    if isinstance(c, (And, Or)):
+        # The chain's left spine is walked in a loop, so thousands of
+        # operands need no call stack.  Each right operand must bind
+        # strictly tighter so left association round-trips structurally.
+        kind = type(c)
+        prec, sep = (_PREC_AND, " & ") if kind is And else (_PREC_OR, " | ")
+        rights = []
+        while type(c) is kind:
+            rights.append(c.right)
+            c = c.left
+        s = sep.join([_render(c, prec)] + [_render(r, prec + 1) for r in reversed(rights)])
+        return f"({s})" if prec < min_prec else s
     raise TypeError(f"not a Concept: {c!r}")
 
 

@@ -177,8 +177,8 @@ def chronological_search(
         plan = _plan(fam, strategy, a2_anywhere)
         if plan is None:
             return node_id
-        for rule, member, target, lit in plan:
-            nodes.append(_apply_planned(fam, rule, member, target, lit))
+        for step in plan:
+            nodes.append(_apply_planned(fam, step))
             witness = explore(len(nodes) - 1)
             if witness is not None:
                 return witness

@@ -73,6 +73,33 @@ def test_check_long_conjunction_exits_with_a_verdict(capsys):
     assert capsys.readouterr().out.split() == ["SAT", "UNSAT"]
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "!" * 5000 + "A",
+        " & ".join(f"A{i}" for i in range(3000)),
+        " | ".join(f"A{i}" for i in range(3000)),
+    ],
+    ids=["negations", "conjunction", "disjunction"],
+)
+def test_check_oracle_on_deep_input_exits_with_a_verdict(text, capsys):
+    # The oracle's negation normal form and its disjunction branching
+    # keep their own stacks.
+    assert main(["check", "--oracle", text]) == 0
+    assert capsys.readouterr().out.strip() == "SAT"
+
+
+def test_check_dot_trace_of_a_wide_clause(tmp_path, capsys):
+    # The one A1+ step targets a clause of 3,000 literals, which its edge
+    # label renders as a | chain.
+    names = [f"A{i}" for i in range(3000)]
+    trace_dot = tmp_path / "trace.dot"
+    assert main(["check", "--trace", str(trace_dot), " | ".join(names)]) == 0
+    assert capsys.readouterr().out.strip() == "SAT"
+    edges = [line for line in trace_dot.read_text().splitlines() if "->" in line]
+    assert edges == [f'  n0 -> n1 [label="A1+ m0: {" | ".join(sorted(names))}"];']
+
+
 def test_check_long_derivation_exits_with_a_verdict(capsys):
     # 1,200 A1+ steps in a row: the search keeps its own stack.
     text = " & ".join(f"(A{i} | B{i})" for i in range(1200))
@@ -238,7 +265,9 @@ def test_trace_replay_clause_budget_exits_4(tmp_path, capsys):
     # trace is written by hand.
     body = " & ".join(f"(A{i} | B{i})" for i in range(14))
     root = Family((to_cnf(parse_concept(f"exists R.({body})")),))
-    verdict = Verdict(True, 0, DerivationTree(nodes=[root]), DecisionStats(1, 0, 0, 0), False)
+    verdict = Verdict(
+        True, 0, DerivationTree(nodes=[root]), DecisionStats(1, 0, 0, 0), Strategy.PLUS, False
+    )
     trace_path = tmp_path / "t.json"
     trace_path.write_text(json.dumps(trace_to_json(verdict, Strategy.PLUS)))
     assert main(["trace-replay", str(trace_path)]) == 4
@@ -314,6 +343,15 @@ def test_trace_replay_rejects_a_trace_without_edges(tmp_path, capsys):
         return trace
 
     assert "'edges'" in _replay_malformed(tmp_path, capsys, drop_edges)
+
+
+def test_trace_replay_rejects_a_trace_without_nodes(tmp_path, capsys):
+    def drop_nodes(trace):
+        trace.update(verdict="unsat", nodes=[], edges=[], clash_nodes=[])
+        trace["stats"].update(nodes_expanded=0, clashes=0)
+        return trace
+
+    assert "root node" in _replay_malformed(tmp_path, capsys, drop_nodes)
 
 
 def test_trace_replay_rejects_an_unknown_strategy(tmp_path, capsys):

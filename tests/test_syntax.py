@@ -116,6 +116,16 @@ def test_round_trip(c: Concept):
     assert parse_concept(render_concept(c)) == c
 
 
+@pytest.mark.parametrize("op", ["&", "|"])
+def test_round_trip_of_a_long_chain(op):
+    # Rendering walks the chain in a loop.  ``==`` on a tree this deep
+    # would itself recurse too far, so the round trip is read off the
+    # text: render(parse(t)) == t gives parse(render(c)) == c for
+    # c = parse(t).
+    text = f" {op} ".join(f"A{i}" for i in range(3000))
+    assert render_concept(parse_concept(text)) == text
+
+
 @given(st.text(max_size=30))
 def test_parser_totality(text: str):
     # Every input either parses or raises ParseError; nothing else.

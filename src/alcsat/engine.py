@@ -401,10 +401,6 @@ class Verdict:
 # --- Termination measure --------------------------------------------------
 
 
-def _clause_set_depth(f: ClauseSet) -> int:
-    return f.depth
-
-
 def family_measure(fam: Family, depth_bound: int) -> tuple:
     """Lexicographic termination measure, strata by member depth
     (deepest first), each stratum a componentwise sum of
@@ -835,11 +831,12 @@ def replay_trace(trace: dict) -> list[str]:
     parent under the recorded strategy and ``a2_anywhere``, re-applying
     it reproduces the child family, clash marks are exactly the clashed
     nodes, the verdict matches the recorded tree (a node is complete
-    when its plan is empty), and the recorded stats count its nodes and
-    clashes.  The checks read the :class:`Verdict` :func:`decode_trace`
-    makes, the type the search wrote.  Raises :class:`TraceFormatError`
-    as :func:`decode_trace` does, so a trace of another format is
-    rejected, not replayed, and
+    when its plan is empty, and a satisfiable trace's witness, its last
+    node, is complete and clash-free), and the recorded stats count its
+    nodes and clashes.  The checks read the :class:`Verdict`
+    :func:`decode_trace` makes, the type the search wrote.  Raises
+    :class:`TraceFormatError` as :func:`decode_trace` does, so a trace
+    of another format is rejected, not replayed, and
     :class:`~alcsat.normal_form.ClauseBudgetError` when a clash check
     takes a complement over the clause budget.
     """
@@ -858,6 +855,7 @@ def replay_trace(trace: dict) -> list[str]:
             problems.append(f"edge {parent}->{child}: not a step the {strategy} scheduler offers")
         elif _apply_planned(nodes[parent], app) != nodes[child]:
             problems.append(f"edge {parent}->{child}: replayed family differs from recorded one")
+    bad_edges = len(problems)
     # Nodes share most members with their parents: check each value once.
     clash_of: dict[ClauseSet, bool] = {}
     for i, fam in enumerate(nodes):
@@ -874,6 +872,11 @@ def replay_trace(trace: dict) -> list[str]:
     has_open_complete = any(p is None and i not in clashes for i, p in enumerate(plans))
     if verdict.satisfiable and not has_open_complete:
         problems.append("verdict sat but no complete clash-free node recorded")
+    elif verdict.satisfiable and not bad_edges and (plans[-1] or verdict.witness in clashes):
+        # A bad edge can put a node after the witness: that edge is reported.
+        problems.append(
+            f"verdict sat but its last node, {verdict.witness}, is not complete and clash-free"
+        )
     if not verdict.satisfiable and has_open_complete:
         problems.append("verdict unsat but a complete clash-free node exists")
     stats = verdict.stats

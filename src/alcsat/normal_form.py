@@ -27,10 +27,10 @@ equality on these values is therefore set equality.
 
 Values are hash-consed: every literal, clause and clause set is built
 through one intern table, so two structurally equal values are the same
-object and equality is identity.  Each value stores its sort key, its
-hash and its quantifier depth, computed once at construction from its
-children's stored fields, so no later sort, hash or depth query walks
-the nesting.  The table holds its values weakly: a value lives exactly
+object, and equality and hash are both identity.  Each value stores its
+sort key and its quantifier depth, computed once at construction from
+its children's stored fields, so no later sort or depth query walks the
+nesting.  The table holds its values weakly: a value lives exactly
 as long as some caller refers to it, and the table is not a cache.
 ``copy`` and ``pickle`` rebuild values through the constructors, so no
 un-interned value can exist.  Values are immutable; assigning an
@@ -109,17 +109,13 @@ class _Value:
     """Base of the interned values.
 
     ``key`` is the value's sort key in the structural total order and
-    ``depth`` its quantifier nesting depth.  The hash is that of the tuple
-    of its fields, as for a frozen dataclass: structural, so the order in
-    which a set of values iterates does not depend on where they sit in
-    memory.  Equality is identity, inherited from ``object``.
+    ``depth`` its quantifier nesting depth.  Equality and hash are both
+    identity, inherited from ``object``: interning makes equal values
+    one object.
     """
 
-    __slots__ = ("key", "depth", "_hash", "__weakref__")
+    __slots__ = ("key", "depth", "__weakref__")
     _fields: tuple[str, ...] = ()
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"{type(self).__name__} values are immutable")
@@ -142,7 +138,6 @@ def _build(cls, ident: tuple, key: tuple, depth: int, *values) -> _Value:
     self = object.__new__(cls)
     _set(self, "key", key)
     _set(self, "depth", depth)
-    _set(self, "_hash", hash(values))
     for name, value in zip(cls._fields, values):
         _set(self, name, value)
     with _INTERN_LOCK:
@@ -742,16 +737,13 @@ class ValueTable:
 
     def __init__(self) -> None:
         self.entries: list[list] = []
-        # By ``id``: a value's own hash is a Python-level call.  The
-        # list keeps every value alive, so no ``id`` is reused.
-        self._indices: dict[int, int] = {}
-        self._values: list[_Value] = []
+        self._indices: dict[_Value, int] = {}
 
     def index(self, value: _Value) -> int:
         """The index of ``value``'s entry, added first if it is new,
         after the new entries of the values under it."""
         get = self._indices.get
-        found = get(id(value))
+        found = get(value)
         if found is not None:
             return found
         # A stack of (value, iterator over its parts, indices of the
@@ -761,32 +753,25 @@ class ValueTable:
         while True:
             v, parts, refs = stack[-1]
             for p in parts:
-                i = get(id(p))
+                i = get(p)
                 if i is None:
                     stack.append((p, iter(_parts(p)), []))
                     break
                 refs.append(i)
             else:
                 stack.pop()
-                i = self._add(v, refs)
+                cls = type(v)
+                if cls is Clause or cls is ClauseSet:
+                    entry = ["clause" if cls is Clause else "clause_set", refs]
+                elif cls is ExistsLit or cls is ForallLit:
+                    entry = ["exists" if cls is ExistsLit else "forall", v.role, refs[0]]
+                else:
+                    entry = ["pos" if cls is Pos else "neg", v.name]
+                i = self._indices[v] = len(self.entries)
+                self.entries.append(entry)
                 if not stack:
                     return i
                 stack[-1][2].append(i)
-
-    def _add(self, v: _Value, refs: list) -> int:
-        cls = type(v)
-        if cls is Clause:
-            entry = ["clause", refs]
-        elif cls is ClauseSet:
-            entry = ["clause_set", refs]
-        elif cls is ExistsLit or cls is ForallLit:
-            entry = ["exists" if cls is ExistsLit else "forall", v.role, refs[0]]
-        else:
-            entry = ["pos" if cls is Pos else "neg", v.name]
-        i = self._indices[id(v)] = len(self.entries)
-        self._values.append(v)
-        self.entries.append(entry)
-        return i
 
 
 _KIND_NAMES = {Clause: "clause", ClauseSet: "clause set"}

@@ -329,27 +329,39 @@ def eval_concept(c: Concept, interp: Interpretation, d) -> bool:
     """Truth of ``d`` being in the extension of ``c``.
 
     Names and roles absent from the interpretation get the empty
-    extension.  ``d`` must be a domain element.
+    extension.  ``d`` must be a domain element.  ``&``, ``|`` and the
+    quantifiers short-circuit, and the walk keeps its own stack.
     """
-    if d not in interp.domain:
-        raise ValueError(f"{d!r} is not a domain element")
-    if isinstance(c, Top):
-        return True
-    if isinstance(c, Bottom):
-        return False
-    if isinstance(c, Name):
-        return d in interp.name_ext.get(c.name, frozenset())
-    if isinstance(c, Not):
-        return not eval_concept(c.body, interp, d)
-    if isinstance(c, And):
-        return eval_concept(c.left, interp, d) and eval_concept(c.right, interp, d)
-    if isinstance(c, Or):
-        return eval_concept(c.left, interp, d) or eval_concept(c.right, interp, d)
-    successors = [
-        t for (s, t) in interp.role_ext.get(getattr(c, "role", ""), frozenset()) if s == d
-    ]
-    if isinstance(c, Forall):
-        return all(eval_concept(c.body, interp, t) for t in successors)
-    if isinstance(c, Exists):
-        return any(eval_concept(c.body, interp, t) for t in successors)
-    raise TypeError(f"not a Concept: {c!r}")
+    # Frames of ``&``, ``|`` and quantifiers: (deciding value, negated, operand pairs).
+    stack: list[tuple] = []
+    item = (c, d)
+    while True:
+        c, d = item
+        if d not in interp.domain:
+            raise ValueError(f"{d!r} is not a domain element")
+        negated = False
+        while isinstance(c, Not):
+            c, negated = c.body, not negated
+        value = None  # a new frame asks for its first operand
+        if isinstance(c, (And, Or)):
+            stack.append((isinstance(c, Or), negated, iter(((c.left, d), (c.right, d)))))
+        elif isinstance(c, (Forall, Exists)):
+            pairs = [(c.body, t) for (s, t) in interp.role_ext.get(c.role, ()) if s == d]
+            stack.append((isinstance(c, Exists), negated, iter(pairs)))
+        elif isinstance(c, Name):
+            value = (d in interp.name_ext.get(c.name, ())) != negated
+        elif isinstance(c, (Top, Bottom)):
+            value = isinstance(c, Top) != negated
+        else:
+            raise TypeError(f"not a Concept: {c!r}")
+        while stack:  # a frame that is decided or out of operands ends
+            decides, negated, operands = stack[-1]
+            if value is not decides:
+                item = next(operands, None)
+                if item is not None:
+                    break
+                value = not decides
+            stack.pop()
+            value = value != negated
+        else:
+            return value

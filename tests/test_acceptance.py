@@ -18,7 +18,6 @@ from alcsat.engine import (
     Verdict,
     decide_sat,
     family_measure,
-    _clause_set_depth,
 )
 from alcsat.harness import GenConfig, gen_concept
 from alcsat.normal_form import ClauseSet, clause_set_to_concept, to_cnf
@@ -207,7 +206,7 @@ def test_criterion_8_termination_measure(batch):
         for verdict in (t.basic, t.plus):
             if verdict.stats.nodes_expanded >= 1_000_000:
                 limit_hits += 1
-            bound = max(_clause_set_depth(m) for m in verdict.tree.nodes[0].members)
+            bound = max(m.depth for m in verdict.tree.nodes[0].members)
             for edge in verdict.tree.edges:
                 steps += 1
                 parent = family_measure(verdict.tree.nodes[edge.parent], bound)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -30,7 +31,7 @@ from alcsat.normal_form import (
     to_cnf,
 )
 from alcsat.syntax import parse_concept
-from conftest import ANIMAL_TEXT, complement_by_round_trip
+from conftest import ANIMAL_TEXT, complement_by_round_trip, modal_3cnf
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -466,6 +467,49 @@ def test_trace_demo_writes_traces_that_replay(tmp_path, capsys):
         assert (tmp_path / "out" / f"animal_{strategy}.dot").read_text().startswith("digraph")
         assert main(["trace-replay", str(tmp_path / "out" / f"animal_{strategy}.json")]) == 0
     assert capsys.readouterr().out.count("trace ok") == 2
+
+
+# Runs each command through ``alcsat.cli.main`` in one interpreter and
+# prints its exit code after its output.
+_COMMANDS_DRIVER = """
+import json, sys
+from alcsat.cli import main
+for argv in json.loads(sys.argv[1]):
+    print("exit", main(argv), flush=True)
+"""
+
+
+def test_no_output_depends_on_the_hash_seed(tmp_path):
+    modal = modal_3cnf(random.Random(4), 7)[0]  # backjumps 4 times under plus
+    a2 = "(forall R.A | B) & !B & exists R.!A"  # A2 takes the universal in a clause
+    runs = [
+        ("animal_basic", ["--strategy", "basic"], ANIMAL_TEXT),
+        ("animal_plus", ["--model"], ANIMAL_TEXT),
+        ("modal", [], modal),
+        ("a2", ["--strategy", "basic", "--a2-anywhere"], a2),
+    ]
+    outputs = []
+    for seed in ("0", "1"):
+        out = tmp_path / seed
+        out.mkdir()
+        commands = [["cnf", text] for text in (ANIMAL_TEXT, modal, a2)]
+        for name, flags, text in runs:
+            for ext in ("json", "dot"):
+                commands.append(["check", *flags, "--trace", str(out / f"{name}.{ext}"), text])
+        result = subprocess.run(
+            [sys.executable, "-c", _COMMANDS_DRIVER, json.dumps(commands)],
+            env={"PYTHONPATH": str(ROOT / "src"), "PYTHONHASHSEED": seed},
+            capture_output=True, text=True, timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        outputs.append((result.stdout, files))
+    (stdout, files), other = outputs
+    assert stdout.count("exit ") == 11 and "UNSAT" in stdout
+    assert len(files) == 8
+    assert json.loads(files["modal.json"])["stats"]["backjumps"] > 0
+    assert any(e["rule"] == "A2" for e in json.loads(files["a2.json"])["edges"])
+    assert (stdout, files) == other
 
 
 def test_usage_error_exit_2():

@@ -35,7 +35,6 @@ from alcsat.engine import (
     witness_path,
     _apply_planned,
     _clash_deps,
-    _clause_set_depth,
     _plan,
 )
 from alcsat.normal_form import (
@@ -405,7 +404,7 @@ def test_measure_strictly_decreases_along_every_edge(c):
     f = to_cnf(c)
     for strategy in Strategy:
         verdict = decide_sat(f, strategy)
-        bound = max(_clause_set_depth(m) for m in verdict.tree.nodes[0].members)
+        bound = max(m.depth for m in verdict.tree.nodes[0].members)
         for edge in verdict.tree.edges:
             parent = verdict.tree.nodes[edge.parent]
             child = verdict.tree.nodes[edge.child]
@@ -452,6 +451,25 @@ def test_replay_detects_tampering():
     trace = trace_to_json(verdict, Strategy.PLUS)
     trace["nodes"][3], trace["nodes"][6] = trace["nodes"][6], trace["nodes"][3]
     assert replay_trace(trace)
+
+
+@pytest.mark.parametrize("other", [9, 7])
+def test_replay_reports_a_sat_trace_whose_last_node_is_not_the_witness(other):
+    # Swap node 10, the witness, with node 9 (incomplete) or node 7 (a
+    # clash), renumbering the edge ends and the clash marks: every edge
+    # still re-applies, but the last node, which a decoded trace takes
+    # as the witness, is not complete and clash-free.
+    trace = trace_to_json(decide_sat(ANIMAL_CNF, Strategy.BASIC), Strategy.BASIC)
+    assert replay_trace(trace) == []
+    swap = {other: 10, 10: other}
+    nodes = trace["nodes"]
+    nodes[other], nodes[10] = nodes[10], nodes[other]
+    for e in trace["edges"]:
+        e["from"], e["to"] = swap.get(e["from"], e["from"]), swap.get(e["to"], e["to"])
+    trace["clash_nodes"] = [swap.get(i, i) for i in trace["clash_nodes"]]
+    assert replay_trace(trace) == [
+        "verdict sat but its last node, 10, is not complete and clash-free"
+    ]
 
 
 def test_unsat_trace_replays():

@@ -104,6 +104,14 @@ def test_run_differential_contradiction_trial():
     assert log.basic_nodes == log.plus_nodes == 1
 
 
+def test_run_differential_checks_the_model_of_a_long_chain():
+    # The model check evaluates the 3,000-term chain at the root.
+    chain = parse_concept(" & ".join(f"A{i}" for i in range(3000)))
+    report = run_differential(GenConfig(), 1, include=[chain])
+    assert report.ok
+    assert report.trial_log[0].plus
+
+
 def test_run_differential_batch_is_clean():
     report = run_differential(GenConfig(seed=17), trials=200)
     assert report.ok

@@ -14,7 +14,7 @@ from alcsat.normal_form import (
     Pos,
     to_cnf,
 )
-from alcsat.syntax import And, Exists, Forall, Name, Top, parse_concept
+from alcsat.syntax import And, Exists, Forall, Name, Not, Top, parse_concept
 from alcsat.tableau import (
     CnfTableau,
     Interpretation,
@@ -261,6 +261,22 @@ def test_eval_examples():
     assert eval_concept(Name("UnknownName"), interp, 0) is False
     with pytest.raises(ValueError):
         eval_concept(Top(), interp, 99)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        " & ".join(f"A{i}" for i in range(3000)),
+        " | ".join(f"A{i}" for i in range(3000)),
+        "!" * 5000 + "A",
+    ],
+    ids=["conjunction", "disjunction", "negations"],
+)
+def test_eval_concept_needs_no_call_stack(text):
+    c = parse_concept(text)
+    interp = tableau_to_interpretation(extract_tableau(decide_sat(to_cnf(c))))
+    assert eval_concept(c, interp, 0)
+    assert not eval_concept(Not(c), interp, 0)
 
 
 def test_interpretation_json_shape():

@@ -82,8 +82,6 @@ def test_stored_fields_match_the_structure():
     assert Pos("A").depth == 0
     assert ExistsLit("R", f).depth == 2
     assert f.key == tuple(c.key for c in f)
-    assert hash(f) == hash((f.clauses,))
-    assert hash(Pos("A")) == hash(("A",))
     with pytest.raises(AttributeError):
         f.clauses = ()
 

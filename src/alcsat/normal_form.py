@@ -4,14 +4,17 @@ A concept literal is a name, a negated name, or a quantified clause set
 (``exists R.F`` / ``forall R.F`` with ``F`` itself in clause-set form).
 A clause is a finite set of literals read disjunctively; a clause set is
 a finite set of clauses read conjunctively.  :func:`to_cnf` transforms
-any concept into this form by pushing negations to names (De Morgan and
-double-negation laws), distributing disjunction over conjunction at
-every nesting level, and flattening by associativity into sets.
+any concept into this form in one walk that carries each node's
+polarity (under an even or odd number of ``!``): it pushes negations to
+names by De Morgan's laws, flattens ``&`` and ``|`` chains into sets,
+and distributes disjunction over conjunction at every nesting level.
+:func:`to_nnf`, the negation normal form alone, stays public.
 
-Top/bottom handling: ``top`` and ``bot`` are simplified away
-algebraically during normalization (``C & top = C``, ``C | bot = C``,
-``C & bot = bot``, ``C | top = top``, ``!top = bot``,
-``exists R.bot = bot``, ``forall R.top = top``).  A concept equivalent
+Top/bottom handling: ``top`` and ``bot`` are simplified away on clause
+tuples during the walk, ``()`` being top and ``(EMPTY_CLAUSE,)`` bot:
+``C & top = C``, ``C | bot = C``, ``C & bot = bot``, ``C | top = top``,
+``!top = bot``, ``exists R.bot = bot``, ``forall R.top = top``, as
+:func:`to_nnf` simplifies concepts.  A concept equivalent
 to ``top`` becomes the empty clause set (vacuously satisfiable); one
 equivalent to ``bot`` becomes ``{{}}``, the set holding the empty
 clause.  Two residual forms survive: ``exists R.top`` becomes an
@@ -39,19 +42,16 @@ attribute raises.
 The complement of a quantified literal, ``forall R.CNF(!F)`` for
 ``exists R.F`` and symmetrically, is built from ``F``'s clauses, not by
 re-expanding ``F`` to a concept: ``!F`` is the disjunction, over the
-clauses of ``F``, of the conjunction of their literals' complements, so
-each complement nested in ``F`` is itself a complement, looked up in
-the cache that :func:`complement` keeps or built once.  Its result is
-the clause set :func:`to_cnf` makes of ``!F``, ``top``/``bot``
-simplification included.
+clauses of ``F``, of the conjunction of their literals' complements,
+each looked up in the cache that :func:`complement` keeps or built once,
+and :func:`to_cnf`'s own ``&`` and ``|`` rules make its clause set.
 
 The distribution step is the naive one and can blow up exponentially
-in clause count; see the README for the trade-off.  A disjunction whose
-distribution would yield more than :data:`MAX_CLAUSES` clauses raises
-:class:`ClauseBudgetError` before any of them is built, wherever it
-occurs: in the input, or in a quantifier body that :func:`complement`
-negates.  The conversions keep their own stacks, so deep nesting needs
-no call stack.
+in clause count; see the README.  A disjunction that would distribute
+to more than :data:`MAX_CLAUSES` clauses raises :class:`ClauseBudgetError`
+before any is built, in the input or in a body :func:`complement`
+negates, unless ``top`` or ``bot`` absorbs it.  The conversions keep
+their own stacks, so deep nesting needs no call stack.
 
 Everything here is pure over immutable values and concurrently callable;
 a lock makes interning a new value atomic, and another a complement's
@@ -299,8 +299,10 @@ class ClauseBudgetError(Exception):
     clauses; ``clauses`` is the product of its disjuncts' clause counts."""
 
     def __init__(self, clauses: int) -> None:
+        # A count too long to write in decimal is written as a power of two.
+        shown = clauses if clauses < 10**100 else f"at least 2^{clauses.bit_length() - 1}"
         super().__init__(
-            f"a disjunction distributes to {clauses} clauses, over the budget of {MAX_CLAUSES}"
+            f"a disjunction distributes to {shown} clauses, over the budget of {MAX_CLAUSES}"
         )
         self.clauses = clauses
 
@@ -383,81 +385,131 @@ def to_nnf(c: Concept) -> Concept:
     return done.pop()
 
 
-def _operands(c: Concept) -> list[Concept]:
-    """The operands, left to right, of the chain of ``c``'s connective
-    (``&`` or ``|``) rooted at ``c``."""
-    kind = type(c)
-    operands: list[Concept] = []
-    stack = [c]
-    while stack:
-        node = stack.pop()
-        if type(node) is kind:
-            stack += (node.right, node.left)
-        else:
-            operands.append(node)
-    return operands
+# What the walk below makes of a concept at a polarity: a tuple of
+# clauses; ``_TOP`` (no clause) or ``_BOT`` (the empty clause) for one
+# equivalent to ``top`` or ``bot``; a list of at least two tuples, a
+# disjunction not yet distributed, which an enclosing one extends; or the
+# ClauseBudgetError that distributing would raise, raised only if it
+# reaches the root, so a part that top or bot absorbs never raises.
+_TOP: tuple = ()
+_BOT = (EMPTY_CLAUSE,)
 
 
-def _clauses_of_nnf(c: Concept) -> tuple[Clause, ...]:
-    """The clauses of ``c``'s clause-set form, not yet deduplicated or
-    ordered except where a disjunction or a quantifier body needs it."""
-    # As in to_nnf, an explicit stack: ``todo`` holds (None, concept) to
-    # transform, or (combiner, argument) to apply to results on ``done``.
-    done: list[tuple[Clause, ...]] = []
-    todo: list[tuple] = [(None, c)]
+def _clauses(c: Concept) -> tuple | list | ClauseBudgetError:
+    """What ``c`` is at positive polarity, as the comment on ``_TOP``
+    lists: one walk that carries each node's polarity, so negations are
+    pushed to names, ``top``/``bot`` simplified and disjunctions
+    distributed on the way."""
+    # ``todo`` holds (None, concept, polarity, chain) to transform, or
+    # (combiner, argument, None, None) to apply to results on ``done``;
+    # a connective's, to those from index ``argument`` on.  One whose
+    # ``&`` or ``|`` at its polarity is its parent's ``chain`` adds its
+    # operands to the parent's: each chain is combined once.
+    done: list = []
+    todo: list[tuple] = [(None, c, True, None)]
+    units: tuple[dict, dict] = ({}, {})  # a name's unit clause, negated and positive
     while todo:
-        combine, item = todo.pop()
-        if combine is None:
-            c = item
-            if isinstance(c, Name):
-                done.append((Clause((Pos(c.name),)),))
-            elif isinstance(c, Top):
-                done.append(())
-            elif isinstance(c, Bottom):
-                done.append((EMPTY_CLAUSE,))
-            elif isinstance(c, Not):
-                if not isinstance(c.body, Name):
-                    raise ValueError(f"not in negation normal form: {c!r}")
-                done.append((Clause((Neg(c.body.name),)),))
-            elif isinstance(c, Exists):
-                todo += ((ExistsLit, c.role), (None, c.body))
-            elif isinstance(c, Forall):
-                todo += ((ForallLit, c.role), (None, c.body))
-            elif isinstance(c, (And, Or)):
-                operands = _operands(c)
-                todo.append((type(c), len(operands)))
-                todo += ((None, o) for o in reversed(operands))
-            else:
-                raise TypeError(f"not a Concept: {c!r}")
-        elif combine is And:
-            # Every conjunct's clauses, gathered once for the whole chain.
-            parts = done[-item:]
-            del done[-item:]
-            done.append(tuple(cl for part in parts for cl in part))
-        elif combine is Or:
-            parts = done[-item:]
-            del done[-item:]
-            done.append(_distribute([[cl.literals for cl in part] for part in parts]))
+        combine, item, positive, chain = todo.pop()
+        if combine is _conjunction or combine is _disjunction:
+            parts = done[item:]
+            del done[item:]
+            done.append(combine(parts))
+        elif combine is not None:
+            body = _clause_set(done.pop())
+            done.append(body if type(body) is ClauseBudgetError else _unit(combine(item, body)))
         else:
-            done.append((Clause((combine(item, ClauseSet(done.pop())),)),))
+            while type(item) is Not:
+                item, positive = item.body, not positive
+            kind = type(item)
+            if kind is Name:
+                unit = units[positive].get(item.name)
+                if unit is None:
+                    lit = (Pos if positive else Neg)(item.name)
+                    unit = units[positive][item.name] = (Clause((lit,)),)
+                done.append(unit)
+            elif kind is Top or kind is Bottom:
+                done.append(_TOP if (kind is Top) == positive else _BOT)
+            elif kind is And or kind is Or:
+                combine = _conjunction if (kind is And) == positive else _disjunction
+                if combine is not chain:
+                    todo.append((combine, len(done), None, None))
+                todo += ((None, item.right, positive, combine), (None, item.left, positive, combine))
+            elif kind is Exists or kind is Forall:
+                quantifier = ExistsLit if (kind is Exists) == positive else ForallLit
+                todo += ((quantifier, item.role, None, None), (None, item.body, positive, None))
+            else:
+                raise TypeError(f"not a Concept: {item!r}")
     return done.pop()
 
 
-def _distribute(parts: list[list[tuple[Literal, ...]]]) -> tuple[Clause, ...]:
+def _conjunction(parts: list) -> tuple | list | ClauseBudgetError:
+    """``&`` of walk results: bot absorbs, top drops out, a disjunction
+    is distributed, and the clauses are gathered once for the chain."""
+    if _BOT in parts:
+        return _BOT
+    parts = [part for part in parts if part is not _TOP]
+    if len(parts) == 1:
+        return parts[0]
+    clauses: list[Clause] = []
+    for part in parts:
+        if type(part) is list:
+            part = _distribute(part)
+        if type(part) is ClauseBudgetError:
+            return part
+        clauses += part
+    return tuple(clauses)
+
+
+def _disjunction(parts: list) -> tuple | list | ClauseBudgetError:
+    """``|`` of walk results: top absorbs, bot drops out, and the rest
+    make one disjunction, not yet distributed."""
+    if _TOP in parts:
+        return _TOP
+    parts = [part for part in parts if part is not _BOT]
+    if len(parts) < 2:
+        return parts[0] if parts else _BOT
+    disjuncts: list[tuple] = []
+    for part in parts:
+        if type(part) is ClauseBudgetError:
+            return part
+        disjuncts += part if type(part) is list else (part,)
+    return disjuncts
+
+
+def _unit(lit: Literal | ClauseBudgetError) -> tuple | ClauseBudgetError:
+    """What one literal is, as the walk's results are: ``forall R.{}``
+    is top and ``exists R.{{}}`` is bot.  An error stays as it is."""
+    kind = type(lit)
+    if kind is ForallLit and lit.body is EMPTY_CLAUSE_SET:
+        return _TOP
+    if kind is ExistsLit and lit.body is FALSE_CLAUSE_SET:
+        return _BOT
+    return lit if kind is ClauseBudgetError else (Clause((lit,)),)
+
+
+def _clause_set(result: tuple | list | ClauseBudgetError) -> ClauseSet | ClauseBudgetError:
+    """The clause set of a walk result, or its error."""
+    if type(result) is list:
+        result = _distribute(result)
+    if type(result) is ClauseBudgetError:
+        return result
+    return ClauseSet(result)
+
+
+def _distribute(parts: list[tuple[Clause, ...]]) -> tuple[Clause, ...] | ClauseBudgetError:
     """The clauses of the disjunction of ``parts``, each a conjunction of
-    clauses given by their literals: the cross product distributes ``|``
-    over ``&``, each product put in canonical order.  A part ``[]`` (top)
-    absorbs; parts of one clause make one clause between them, and each
-    longer part multiplies the clauses so far.  Raises
-    :class:`ClauseBudgetError` before building any clause when the
-    product of the parts' sizes before de-duplication is over budget."""
+    clauses: the cross product distributes ``|`` over ``&``, each product
+    put in canonical order.  Parts of one clause make one clause between
+    them, and each longer part multiplies the clauses so far.  The
+    :class:`ClauseBudgetError`, built before any clause, when the product
+    of the parts' sizes before de-duplication is over budget."""
     sizes = [len(part) for part in parts if len(part) != 1]
-    if len(parts) > 1 and 0 not in sizes and prod(sizes) > MAX_CLAUSES:
-        raise ClauseBudgetError(prod(sizes))
-    clauses = (Clause(lit for part in parts if len(part) == 1 for lit in part[0]),)
+    if prod(sizes) > MAX_CLAUSES:
+        return ClauseBudgetError(prod(sizes))
+    clauses = (Clause(lit for part in parts if len(part) == 1 for lit in part[0].literals),)
     for part in parts:
         if len(part) != 1:
-            clauses = _canonical(Clause(cl.literals + lits) for cl in clauses for lits in part)
+            clauses = _canonical(Clause(cl.literals + d.literals) for cl in clauses for d in part)
     return clauses
 
 
@@ -467,7 +519,10 @@ def to_cnf(c: Concept) -> ClauseSet:
     Raises :class:`ClauseBudgetError` when a disjunction in it would
     distribute to more than :data:`MAX_CLAUSES` clauses.
     """
-    return ClauseSet(_clauses_of_nnf(to_nnf(c)))
+    f = _clause_set(_clauses(c))
+    if type(f) is ClauseBudgetError:
+        raise f
+    return f
 
 
 def literal_to_concept(lit: Literal) -> Concept:
@@ -619,39 +674,11 @@ def _complement_quantified(lit: Literal) -> dict:
             todo.append(q)
             todo += missing
             continue
-        body = _negated_body(conjunctions)
-        made[q] = body if isinstance(body, ClauseBudgetError) else _DUAL[type(q)](q.role, body)
+        # !F: the disjunction, over F's clauses, of their complements' conjunction.
+        negated = [_conjunction([_unit(c) for c in comps]) for comps in conjunctions]
+        body = _clause_set(_disjunction(negated))
+        made[q] = body if type(body) is ClauseBudgetError else _DUAL[type(q)](q.role, body)
     return made
-
-
-def _negated_body(conjunctions: list[list]) -> ClauseSet | ClauseBudgetError:
-    """The clause set of the disjunction of ``conjunctions``, each the
-    complements of one clause's literals (or the error that stopped
-    one), simplified and distributed as :func:`complement` describes;
-    or the error that stops it."""
-    disjuncts = []
-    for comps in conjunctions:
-        kept = []
-        for c in comps:
-            if type(c) is ForallLit and c.body is EMPTY_CLAUSE_SET:
-                continue
-            if type(c) is ExistsLit and c.body is FALSE_CLAUSE_SET:
-                break
-            kept.append(c)
-        else:
-            if not kept:
-                return EMPTY_CLAUSE_SET
-            disjuncts.append(kept)
-    if not disjuncts:
-        return FALSE_CLAUSE_SET
-    for kept in disjuncts:
-        for c in kept:
-            if isinstance(c, ClauseBudgetError):
-                return c
-    try:
-        return ClauseSet(_distribute([[(c,) for c in kept] for kept in disjuncts]))
-    except ClauseBudgetError as exc:
-        return exc
 
 
 def is_canonical_clause_set(f: ClauseSet) -> bool:

@@ -19,9 +19,14 @@ tightest first: ``!`` and quantifier prefixes, then ``&``, then ``|``;
 binary operators associate left.  A quantifier scopes over exactly one
 unary concept, so ``forall R.A & B`` parses as ``(forall R.A) & B``.
 
-Quantifiers and parentheses nest at most :data:`MAX_NESTING` deep;
-deeper input is a :class:`ParseError`.  Runs of ``!`` and chains of
-``&`` / ``|`` do not nest and have no such bound.
+One regular expression splits the text into tokens; if they miss a
+character, a search finds the first one, reported before any earlier
+syntax error.  Offsets are worked out only for a
+:class:`ParseError`.  The parser, a loop, builds names and quantifiers
+without checking again what the token pattern matched; the public
+constructors check.  Quantifiers and parentheses nest at most
+:data:`MAX_NESTING` deep; deeper input is a :class:`ParseError`.  Runs
+of ``!`` and chains of ``&`` / ``|`` do not nest and have no such bound.
 
 Input is UTF-8 but only the ASCII tokens above are meaningful.  All
 functions here are pure over immutable values and safe to call
@@ -32,15 +37,13 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import NamedTuple
 
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 _KEYWORDS = frozenset({"top", "bot", "forall", "exists"})
 
-# Every stage after the parser (normal form, complements, tableau,
-# model evaluation) recurses once per nested quantifier, and the parser
-# itself once per quantifier or parenthesis; this bound keeps all of
-# them well inside Python's recursion limit.
+# Stages after the parser, such as rendering a concept and writing a
+# clause set as JSON, recurse once per nested quantifier; this bound
+# keeps them well inside Python's recursion limit.
 MAX_NESTING = 100
 
 
@@ -52,15 +55,44 @@ def _check_identifier(kind: str, value: str) -> None:
 
 
 class Concept:
-    """Base class for ALC concept ASTs (finite immutable trees)."""
+    """Base class for ALC concept ASTs (finite immutable trees).
+
+    Equality and hash are structural, and walk the tree in a loop, so a
+    chain of thousands of operands needs no call stack.
+    """
 
     __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Concept):
+            return NotImplemented
+        return self is other or _flat(self) == _flat(other)
+
+    def __hash__(self) -> int:
+        return hash(_flat(self))
 
     def __str__(self) -> str:
         return render_concept(self)
 
 
-@dataclass(frozen=True, slots=True)
+def _flat(c: Concept) -> tuple:
+    """Every node of ``c``, depth first, as its class followed by its
+    identifiers: equal trees, and only they, give equal tuples."""
+    out: list = []
+    todo = [c]
+    while todo:
+        node = todo.pop()
+        out.append(type(node))
+        for field in node.__slots__:
+            value = getattr(node, field)
+            if isinstance(value, Concept):
+                todo.append(value)
+            else:
+                out.append(value)
+    return tuple(out)
+
+
+@dataclass(frozen=True, slots=True, eq=False)
 class Name(Concept):
     name: str
 
@@ -68,34 +100,34 @@ class Name(Concept):
         _check_identifier("concept", self.name)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Top(Concept):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Bottom(Concept):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Not(Concept):
     body: Concept
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class And(Concept):
     left: Concept
     right: Concept
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Or(Concept):
     left: Concept
     right: Concept
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Forall(Concept):
     role: str
     body: Concept
@@ -104,7 +136,7 @@ class Forall(Concept):
         _check_identifier("role", self.role)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Exists(Concept):
     role: str
     body: Concept
@@ -117,7 +149,7 @@ class ParseError(Exception):
     """Malformed concept text.
 
     Attributes:
-        offset: 1-based byte offset of the offending position.
+        offset: 1-based character offset of the offending position.
         expected: token descriptions that would have been accepted there.
     """
 
@@ -127,124 +159,25 @@ class ParseError(Exception):
         self.expected = expected
 
 
-class _Token(NamedTuple):
-    kind: str  # "name", "keyword", punctuation itself, or "end"
-    text: str
-    offset: int  # 1-based
+_TOKEN_RE = re.compile(r"[&|!().]|[A-Za-z][A-Za-z0-9_]*")
+# A character in no token: neither space, punctuation nor a letter, or
+# a digit or "_" that no identifier started before it.
+_BAD_CHAR_RE = re.compile(r"[^\sA-Za-z0-9_&|!().]|(?<![A-Za-z0-9_])[0-9_]")
+# Every token that is not a name; "" stands for the end of input.
+_NOT_NAMES = _KEYWORDS | {"&", "|", "!", "(", ")", ".", ""}
+_OPENERS = frozenset({"!", "forall", "exists", "("})
+_PRIMARY = ("'!'", "'forall'", "'exists'", "'top'", "'bot'", "name", "'('")
+_new = object.__new__
+_set = object.__setattr__
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "&|!().":
-            tokens.append(_Token(ch, ch, i + 1))
-            i += 1
-            continue
-        m = _IDENT_RE.match(text, i)
-        if m:
-            word = m.group(0)
-            kind = "keyword" if word in _KEYWORDS else "name"
-            tokens.append(_Token(kind, word, i + 1))
-            i = m.end()
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i + 1, ("concept",))
-    tokens.append(_Token("end", "", n + 1))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, tokens: list[_Token]) -> None:
-        self._tokens = tokens
-        self._pos = 0
-        self._nesting = 0
-
-    def _peek(self) -> _Token:
-        return self._tokens[self._pos]
-
-    def _advance(self) -> _Token:
-        tok = self._tokens[self._pos]
-        self._pos += 1
-        return tok
-
-    def _expect(self, kind: str, description: str) -> _Token:
-        tok = self._peek()
-        if tok.kind != kind:
-            raise ParseError(f"unexpected {tok.text or 'end of input'!r}", tok.offset, (description,))
-        return self._advance()
-
-    def _nested(self, parse, tok: _Token) -> Concept:
-        """Parse one level deeper than ``tok``, the quantifier or ``(``
-        that opens it."""
-        if self._nesting == MAX_NESTING:
-            raise ParseError(
-                f"quantifiers and parentheses nested deeper than {MAX_NESTING}",
-                tok.offset,
-                (f"at most {MAX_NESTING} levels of nesting",),
-            )
-        self._nesting += 1
-        node = parse()
-        self._nesting -= 1
-        return node
-
-    def concept(self) -> Concept:
-        node = self._and()
-        while self._peek().kind == "|":
-            self._advance()
-            node = Or(node, self._and())
-        return node
-
-    def _and(self) -> Concept:
-        node = self._unary()
-        while self._peek().kind == "&":
-            self._advance()
-            node = And(node, self._unary())
-        return node
-
-    def _unary(self) -> Concept:
-        # A run of "!" is counted in a loop, not parsed by recursion, so
-        # thousands of negations need no call stack.
-        negations = 0
-        while self._peek().kind == "!":
-            self._advance()
-            negations += 1
-        node = self._primary()
-        for _ in range(negations):
-            node = Not(node)
-        return node
-
-    def _primary(self) -> Concept:
-        tok = self._peek()
-        if tok.kind == "keyword" and tok.text in ("forall", "exists"):
-            self._advance()
-            role = self._expect("name", "role name")
-            self._expect(".", "'.'")
-            body = self._nested(self._unary, tok)
-            return Forall(role.text, body) if tok.text == "forall" else Exists(role.text, body)
-        if tok.kind == "keyword" and tok.text == "top":
-            self._advance()
-            return Top()
-        if tok.kind == "keyword" and tok.text == "bot":
-            self._advance()
-            return Bottom()
-        if tok.kind == "name":
-            self._advance()
-            return Name(tok.text)
-        if tok.kind == "(":
-            self._advance()
-            node = self._nested(self.concept, tok)
-            self._expect(")", "')'")
-            return node
-        raise ParseError(
-            f"unexpected {tok.text or 'end of input'!r}",
-            tok.offset,
-            ("'!'", "'forall'", "'exists'", "'top'", "'bot'", "name", "'('"),
-        )
+def _error(text: str, k: int, expected: tuple[str, ...], message: str = "") -> ParseError:
+    """The error at ``text``'s ``k``-th token (the end of input after the
+    last), by default that the token is unexpected.  Offsets are worked
+    out here, by scanning ``text`` again: only an error needs one."""
+    found = [(m.start() + 1, m.group()) for m in _TOKEN_RE.finditer(text)]
+    offset, token = (found + [(len(text) + 1, "")])[k]
+    return ParseError(message or f"unexpected {token or 'end of input'!r}", offset, expected)
 
 
 def parse_concept(text: str) -> Concept:
@@ -254,12 +187,80 @@ def parse_concept(text: str) -> Concept:
     offset and the expected-token set) on any malformed input; no other
     outcome is possible.
     """
-    parser = _Parser(_tokenize(text))
-    node = parser.concept()
-    tok = parser._peek()
-    if tok.kind != "end":
-        raise ParseError(f"trailing input {tok.text!r}", tok.offset, ("end of input",))
-    return node
+    tokens = _TOKEN_RE.findall(text)
+    if len("".join(tokens)) != len("".join(text.split())):  # a character is in no token
+        bad = _BAD_CHAR_RE.search(text)
+        raise ParseError(f"unexpected character {bad.group()!r}", bad.start() + 1, ("concept",))
+    tokens.append("")
+    i = depth = 0
+    # The unary concept being read has ``prefixes`` ("!" as None, a
+    # quantifier as its class and role), and the group it is in has read
+    # ``disjunction | conjunction &`` so far; each open "(" keeps the
+    # three of its enclosing group on ``groups``.
+    groups: list[tuple] = []
+    prefixes: list = []
+    disjunction = conjunction = None
+    while True:
+        tok = tokens[i]
+        while tok in _OPENERS:
+            if tok == "!":
+                prefixes.append(None)
+                i += 1
+            else:
+                if tok != "(" and tokens[i + 1] in _NOT_NAMES:
+                    raise _error(text, i + 1, ("role name",))
+                if tok != "(" and tokens[i + 2] != ".":
+                    raise _error(text, i + 2, ("'.'",))
+                if depth == MAX_NESTING:
+                    message = f"quantifiers and parentheses nested deeper than {MAX_NESTING}"
+                    raise _error(text, i, (f"at most {MAX_NESTING} levels of nesting",), message)
+                depth += 1
+                if tok == "(":
+                    groups.append((prefixes, disjunction, conjunction))
+                    prefixes, disjunction, conjunction = [], None, None
+                    i += 1
+                else:
+                    prefixes.append((Forall if tok == "forall" else Exists, tokens[i + 1]))
+                    i += 3
+            tok = tokens[i]
+        if tok not in _NOT_NAMES:
+            node = _new(Name)  # the token pattern has checked the identifier
+            _set(node, "name", tok)
+        elif tok == "top" or tok == "bot":
+            node = Top() if tok == "top" else Bottom()
+        else:
+            raise _error(text, i, _PRIMARY)
+        i += 1
+        while True:
+            for prefix in reversed(prefixes):
+                if prefix is None:
+                    node = Not(node)
+                else:
+                    quantified = _new(prefix[0])
+                    _set(quantified, "role", prefix[1])
+                    _set(quantified, "body", node)
+                    node = quantified
+                    depth -= 1
+            conjunction = node if conjunction is None else And(conjunction, node)
+            tok = tokens[i]
+            if tok == "&":
+                break
+            disjunction = conjunction if disjunction is None else Or(disjunction, conjunction)
+            if tok == "|":
+                conjunction = None
+                break
+            if not groups:
+                if tok:
+                    raise _error(text, i, ("end of input",), f"trailing input {tok!r}")
+                return disjunction
+            if tok != ")":
+                raise _error(text, i, ("')'",))
+            node = disjunction
+            depth -= 1
+            i += 1
+            prefixes, disjunction, conjunction = groups.pop()
+        prefixes = []
+        i += 1
 
 
 _PREC_OR = 1

@@ -6,6 +6,7 @@ import shutil
 import sys
 import tempfile
 from functools import cache
+from math import prod
 from pathlib import Path
 from typing import Optional
 
@@ -17,7 +18,9 @@ from hypothesis.configuration import set_hypothesis_home_dir
 from alcsat.clause_model import Family, FamilyEdge
 from alcsat.engine import Strategy, Verdict, _apply_planned, _plan, decide_sat
 from alcsat.normal_form import (
+    MAX_CLAUSES,
     Clause,
+    ClauseBudgetError,
     ClauseSet,
     ExistsLit,
     ForallLit,
@@ -27,8 +30,20 @@ from alcsat.normal_form import (
     clause_set_to_concept,
     complement,
     to_cnf,
+    to_nnf,
 )
-from alcsat.syntax import And, Bottom, Exists, Forall, Name, Not, Or, Top, parse_concept
+from alcsat.syntax import (
+    And,
+    Bottom,
+    Concept,
+    Exists,
+    Forall,
+    Name,
+    Not,
+    Or,
+    Top,
+    parse_concept,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -197,6 +212,84 @@ def complement_by_round_trip(lit: Literal) -> Literal:
         return Pos(lit.name)
     dual = ForallLit if isinstance(lit, ExistsLit) else ExistsLit
     return dual(lit.role, to_cnf(Not(clause_set_to_concept(lit.body))))
+
+
+def _operands(c: Concept) -> list[Concept]:
+    """The operands, left to right, of the chain of ``c``'s connective
+    (``&`` or ``|``) rooted at ``c``."""
+    kind = type(c)
+    operands: list[Concept] = []
+    stack = [c]
+    while stack:
+        node = stack.pop()
+        if type(node) is kind:
+            stack += (node.right, node.left)
+        else:
+            operands.append(node)
+    return operands
+
+
+def _distribute(parts: list[list[tuple[Literal, ...]]]) -> tuple[Clause, ...]:
+    """The clauses of the disjunction of ``parts``, each a conjunction of
+    clauses given by their literals; raises ClauseBudgetError before
+    building any when the product of the parts' sizes is over budget."""
+    sizes = [len(part) for part in parts if len(part) != 1]
+    if len(parts) > 1 and 0 not in sizes and prod(sizes) > MAX_CLAUSES:
+        raise ClauseBudgetError(prod(sizes))
+    clauses = (Clause(lit for part in parts if len(part) == 1 for lit in part[0]),)
+    for part in parts:
+        if len(part) != 1:
+            clauses = tuple(set(Clause(cl.literals + lits) for cl in clauses for lits in part))
+    return clauses
+
+
+def _clauses_of_nnf(c: Concept) -> tuple[Clause, ...]:
+    """The clauses of the clause-set form of ``c``, in negation normal
+    form with ``top``/``bot`` simplified away, by the definition: ``&``
+    chains gather their operands' clauses and ``|`` chains distribute."""
+    done: list[tuple[Clause, ...]] = []
+    todo: list[tuple] = [(None, c)]
+    while todo:
+        combine, item = todo.pop()
+        if combine is None:
+            c = item
+            if isinstance(c, Name):
+                done.append((Clause((Pos(c.name),)),))
+            elif isinstance(c, Top):
+                done.append(())
+            elif isinstance(c, Bottom):
+                done.append((Clause(),))
+            elif isinstance(c, Not):
+                if not isinstance(c.body, Name):
+                    raise ValueError(f"not in negation normal form: {c!r}")
+                done.append((Clause((Neg(c.body.name),)),))
+            elif isinstance(c, Exists):
+                todo += ((ExistsLit, c.role), (None, c.body))
+            elif isinstance(c, Forall):
+                todo += ((ForallLit, c.role), (None, c.body))
+            else:
+                operands = _operands(c)
+                todo.append((type(c), len(operands)))
+                todo += ((None, o) for o in reversed(operands))
+        elif combine is And:
+            parts = done[-item:]
+            del done[-item:]
+            done.append(tuple(cl for part in parts for cl in part))
+        elif combine is Or:
+            parts = done[-item:]
+            del done[-item:]
+            done.append(_distribute([[cl.literals for cl in part] for part in parts]))
+        else:
+            done.append((Clause((combine(item, ClauseSet(done.pop())),)),))
+    return done.pop()
+
+
+def cnf_by_two_passes(c: Concept) -> ClauseSet:
+    """The clause-set form as the definition reads: ``to_nnf`` pushes
+    negations to names and simplifies ``top``/``bot``, then a second walk
+    distributes.  ``to_cnf`` makes the same in one walk, and raises the
+    same ClauseBudgetError."""
+    return ClauseSet(_clauses_of_nnf(to_nnf(c)))
 
 
 def successor_family(n: int) -> str:

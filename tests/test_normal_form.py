@@ -46,6 +46,7 @@ from conftest import (
     ANIMAL_CNF,
     ANIMAL_TEXT,
     cl,
+    cnf_by_two_passes,
     complement_by_round_trip,
     concepts,
     cs,
@@ -130,6 +131,88 @@ def test_cnf_clause_budget():
     assert err.value.clauses == 2**22
     # A disjunct equivalent to top absorbs the rest: nothing to build.
     assert to_cnf(parse_concept(_pairs(22) + " | top")) == EMPTY_CLAUSE_SET
+
+
+def _same_as_two_passes(c) -> bool:
+    """``to_cnf(c)`` is the two-pass clause set; or both raise
+    ClauseBudgetError for the same clause count, and this is False."""
+    try:
+        expected = cnf_by_two_passes(c)
+    except ClauseBudgetError as reference:
+        with pytest.raises(ClauseBudgetError) as ours:
+            to_cnf(c)
+        assert ours.value.clauses == reference.clauses
+        return False
+    assert to_cnf(c) is expected
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(concepts)
+def test_cnf_matches_two_passes_on_hypothesis_concepts(c):
+    assert _same_as_two_passes(c)
+
+
+def _near_budget(rng: random.Random) -> str:
+    """A disjunction of conjunctions of two-name clauses, whose product
+    of clause counts is near :data:`MAX_CLAUSES`.  Some conjunctions are
+    wrapped in ``& top``, ``| bot``, ``!`` or a disjunction inside one,
+    which leave the disjunction the same chain once simplified; others
+    sit next to a constant or under a quantifier or ``!``."""
+    parts = []
+    for _ in range(rng.randint(2, 5)):
+        size = rng.randint(3, 14)
+        conjuncts = [f"(A{rng.randrange(6)} | B{rng.randrange(4)})" for _ in range(size)]
+        block = " & ".join(conjuncts)
+        block = rng.choice(
+            [
+                block,
+                f"({block}) & top",
+                f"({block}) | bot",
+                f"!!({block})",
+                "!(" + " | ".join(f"!{x}" for x in conjuncts) + ")",
+                f"(({block}) | ((C | D) & top)) & top",
+            ]
+        )
+        parts.append(f"({block})")
+    if rng.random() < 0.2:
+        constant = rng.choice(["top", "bot", "forall T.top", "exists T.bot"])
+        parts.insert(rng.randrange(len(parts) + 1), constant)
+    text = " | ".join(parts)
+    if rng.random() < 0.3:
+        text = f"exists R.({text})"
+    if rng.random() < 0.2:
+        text = f"!({text})"
+    return text
+
+
+def test_cnf_matches_two_passes_near_the_clause_budget():
+    rng = random.Random(5)
+    outcomes = [_same_as_two_passes(parse_concept(_near_budget(rng))) for _ in range(150)]
+    assert outcomes.count(False) > 15 and outcomes.count(True) > 60
+
+
+def test_cnf_never_distributes_an_absorbed_part():
+    # 2^22 clauses, next to a sibling that makes the whole top or bot.
+    pairs = _pairs(22)
+    for text, expected in [
+        (f"(({pairs}) & C) | forall T.top", EMPTY_CLAUSE_SET),
+        (f"(({pairs}) | C) & exists T.bot", FALSE_CLAUSE_SET),
+        (f"!(!(({pairs}) & C) & exists T.bot)", EMPTY_CLAUSE_SET),
+        (f"exists R.(({pairs}) & C) & bot", FALSE_CLAUSE_SET),
+    ]:
+        c = parse_concept(text)
+        assert to_cnf(c) is cnf_by_two_passes(c) is expected
+
+
+def test_clause_budget_error_of_a_count_too_long_to_print():
+    # 2^15000 has 4,516 digits: more than Python converts to decimal by
+    # default.  Complementing exists R.{(A0 | B0), ..., (A14999 | B14999)}
+    # counts that many clauses.
+    err = ClauseBudgetError(2**15_000)
+    assert err.clauses == 2**15_000
+    assert "distributes to at least 2^15000 clauses" in str(err)
+    assert "distributes to 20000 clauses" in str(ClauseBudgetError(20_000))
 
 
 def test_complement_of_names():

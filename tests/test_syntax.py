@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import inspect
+import sys
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
 from alcsat.syntax import (
     And,
+    Bottom,
     Concept,
     Exists,
     Forall,
@@ -83,6 +87,44 @@ def test_parse_error_on_trailing_input():
         parse_concept("A B")
 
 
+_PRIMARY = ("'!'", "'forall'", "'exists'", "'top'", "'bot'", "name", "'('")
+_TOO_DEEP = "quantifiers and parentheses nested deeper than 100"
+
+
+@pytest.mark.parametrize(
+    "text,message,offset,expected",
+    [
+        # A bad character is reported before an earlier syntax error.
+        ("A ) #", "unexpected character '#'", 5, ("concept",)),
+        ("1A", "unexpected character '1'", 1, ("concept",)),
+        ("_A", "unexpected character '_'", 1, ("concept",)),
+        ("A\u00e9", "unexpected character '\u00e9'", 2, ("concept",)),
+        ("exists . A", "unexpected '.'", 8, ("role name",)),
+        ("exists top.A", "unexpected 'top'", 8, ("role name",)),
+        ("exists", "unexpected 'end of input'", 7, ("role name",)),
+        ("forall R A", "unexpected 'A'", 10, ("'.'",)),
+        ("exists R", "unexpected 'end of input'", 9, ("'.'",)),
+        ("(" * 101, _TOO_DEEP, 101, ("at most 100 levels of nesting",)),
+        ("exists R." * 101, _TOO_DEEP, 901, ("at most 100 levels of nesting",)),
+        ("forall R." * 100 + "(A)", _TOO_DEEP, 901, ("at most 100 levels of nesting",)),
+        ("A B", "trailing input 'B'", 3, ("end of input",)),
+        ("(A))", "trailing input ')'", 4, ("end of input",)),
+        ("!", "unexpected 'end of input'", 2, _PRIMARY),
+        ("", "unexpected 'end of input'", 1, _PRIMARY),
+        ("A | & B", "unexpected '&'", 5, _PRIMARY),
+        ("A | (B", "unexpected 'end of input'", 7, ("')'",)),
+    ],
+)
+def test_every_parse_error_path(text, message, offset, expected):
+    with pytest.raises(ParseError) as err:
+        parse_concept(text)
+    assert (str(err.value), err.value.offset, err.value.expected) == (
+        f"{message} at offset {offset} (expected {', '.join(expected)})",
+        offset,
+        expected,
+    )
+
+
 def test_render_atomic():
     assert render_concept(Name("A")) == "A"
 
@@ -118,12 +160,45 @@ def test_round_trip(c: Concept):
 
 @pytest.mark.parametrize("op", ["&", "|"])
 def test_round_trip_of_a_long_chain(op):
-    # Rendering walks the chain in a loop.  ``==`` on a tree this deep
-    # would itself recurse too far, so the round trip is read off the
-    # text: render(parse(t)) == t gives parse(render(c)) == c for
-    # c = parse(t).
+    # Rendering walks the chain in a loop, and so does ``==``.
     text = f" {op} ".join(f"A{i}" for i in range(3000))
-    assert render_concept(parse_concept(text)) == text
+    c = parse_concept(text)
+    assert render_concept(c) == text
+    assert parse_concept(render_concept(c)) == c
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        " & ".join(f"A{i}" for i in range(3000)),
+        " | ".join(f"A{i}" for i in range(3000)),
+        "!" * 5000 + "A",
+        "exists R." * 100 + "A",
+    ],
+    ids=["conjunction", "disjunction", "negations", "quantifiers"],
+)
+def test_equality_and_hash_of_deep_concepts_need_no_call_stack(text):
+    a, b = parse_concept(text), parse_concept(text)
+    other = parse_concept(text[:-1] + "B")
+    # Fifty frames more than the test runs in: too few for one per level.
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 50)
+    try:
+        assert a == b and hash(a) == hash(b)
+        assert a != other
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_equality_is_structural():
+    assert Exists("R", Name("A")) == parse_concept("exists R.A")
+    assert Exists("R", Name("A")) != Forall("R", Name("A"))
+    assert Exists("R", Name("A")) != Exists("S", Name("A"))
+    assert And(Name("A"), Name("B")) != Or(Name("A"), Name("B"))
+    assert And(Name("A"), Name("B")) != And(Name("B"), Name("A"))
+    assert Top() != Bottom()
+    assert len({parse_concept("A & !B"), And(Name("A"), Not(Name("B")))}) == 1
+    assert Name("A") != "A" and Name("A").__eq__("A") is NotImplemented
 
 
 @given(st.text(max_size=30))

@@ -2,7 +2,7 @@
 
 Subcommands::
 
-    alcsat check [--strategy basic|plus] [--a2-anywhere] [--max-nodes N]
+    alcsat check [--strategy basic|plus] [--max-nodes N]
                  [--trace PATH(.json|.dot)] [--model] [--oracle] EXPR_OR_FILE
     alcsat cnf EXPR_OR_FILE
     alcsat fuzz --trials N [--seed N] [--max-depth N] [--names N] [--roles N]
@@ -11,22 +11,21 @@ Subcommands::
 
 ``check`` prints SAT or UNSAT and exits 0 on SAT, 1 on UNSAT, 2 on input
 error (including quantifiers and parentheses nested deeper than
-``syntax.MAX_NESTING``, a file that is not UTF-8, and ``--a2-anywhere``
-without ``--strategy basic``), 3 when ``--oracle`` disagrees with the
-engine, 4 when the node budget or the clause budget is exhausted, with
-one line on stderr (the clause budget: a disjunction distributing to
-more than ``normal_form.MAX_CLAUSES`` clauses, in the input or in a
-complement the search takes); ``cnf`` exits 4 on the clause budget too.  ``fuzz``
-prints the differential report JSON (with ``plus_fewer_nodes``, the
-trials where plus expanded fewer nodes than basic) and exits 0 when it
-is clean and 5 on any disagreement.  ``check --trace PATH.json`` writes
-a format-2 trace (``engine.trace_to_json``: a value table that holds
-each literal, clause and clause set once, the run's options and
-stats).  ``trace-replay`` exits 0 when the recorded trace replays
-exactly, 1 when it does not, 2 when the file cannot be read (not
-UTF-8 included) or is not a format-2 trace, an older trace without
-``"format": 2`` included, and 4 when a clash check takes a complement
-over the clause budget (one line on stderr).
+``syntax.MAX_NESTING`` and a file that is not UTF-8), 3 when ``--oracle``
+disagrees with the engine, 4 when the node budget or the clause budget
+is exhausted, with one line on stderr (the clause budget: a disjunction
+distributing to more than ``normal_form.MAX_CLAUSES`` clauses, in the
+input or in a complement the search takes); ``cnf`` exits 4 on the
+clause budget too.  ``fuzz`` prints the differential report JSON (with
+``plus_fewer_nodes``, the trials where plus expanded fewer nodes than
+basic) and exits 0 when it is clean and 5 on any disagreement.
+``check --trace PATH.json`` writes a format-2 trace
+(``engine.trace_to_json``: a value table that holds each literal, clause
+and clause set once, and the run's stats).  ``trace-replay`` exits 0
+when the recorded trace replays exactly, 1 when it does not, 2 when the
+file cannot be read (not UTF-8 included) or is not a format-2 trace, an
+older trace without ``"format": 2`` included, and 4 when a clash check
+takes a complement over the clause budget (one line on stderr).
 
 An argument naming an existing file is read as UTF-8 holding one concept;
 ``#`` starts a line comment.  Configuration is flags only, so runs are
@@ -85,9 +84,6 @@ def _read_concept_arg(arg: str):
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    if args.a2_anywhere and args.strategy != Strategy.BASIC.value:
-        print("--a2-anywhere needs --strategy basic", file=sys.stderr)
-        return EXIT_INPUT_ERROR
     try:
         concept = _read_concept_arg(args.expr)
     except _InputError as exc:
@@ -102,12 +98,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _check_concept(args: argparse.Namespace, concept) -> int:
     strategy = Strategy(args.strategy)
-    verdict = decide_sat(
-        to_cnf(concept),
-        strategy,
-        max_nodes=args.max_nodes,
-        a2_anywhere=args.a2_anywhere,
-    )
+    verdict = decide_sat(to_cnf(concept), strategy, max_nodes=args.max_nodes)
     print("SAT" if verdict.satisfiable else "UNSAT")
     if args.trace:
         trace = trace_to_json(verdict, strategy)
@@ -201,10 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument(
         "--strategy", choices=["basic", "plus"], default="plus",
         help="rule system (default: plus)",
-    )
-    check.add_argument(
-        "--a2-anywhere", action="store_true",
-        help="allow consuming universals inside non-unit clauses (basic only)",
     )
     check.add_argument(
         "--max-nodes", type=int, default=1_000_000,

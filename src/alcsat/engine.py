@@ -19,11 +19,11 @@ members are visited in index order; within a member the first non-unit
 clause in canonical order is the A1/A1+ target, branching over its
 literals in canonical order; once all clauses are units, A2/A2+ fires on
 the first universal unit; then A3 peels the first existential unit.  The
-only backtracking choice points are the A1/A1+ literal picks (plus the
-universal picks under ``a2_anywhere``, an option of basic only, which
-enables consuming a universal literal sitting inside a non-unit clause
-and discarding its siblings).  A3 target order is fixed: peeling
-commutes, each existential spawns an independent child.
+only backtracking choice points are the A1/A1+ literal picks: which rule
+fires next is a don't-care choice (a complete clash-free family is
+reachable under any order if one exists), so the order is fixed.  A3
+target order is fixed too: peeling commutes, each existential spawns an
+independent child.
 
 A family is complete when no rule applies to any member.  ``_plan``,
 the scheduler above, is the only code that decides applicability, so
@@ -82,9 +82,9 @@ asserts this at each step, computing each node's measure once and
 carrying it down as the parent measure of the next step.
 
 Traces (format 2).  :func:`trace_to_json` writes a run as one JSON object:
-``format`` (2), ``strategy``, ``options`` (``a2_anywhere``), ``verdict``,
-``stats`` (the :class:`DecisionStats` fields), ``values``, ``nodes``,
-``edges`` and ``clash_nodes``.  ``values`` is a value table: each
+``format`` (2), ``strategy``, ``verdict``, ``stats`` (the
+:class:`DecisionStats` fields), ``values``, ``nodes``, ``edges`` and
+``clash_nodes``.  ``values`` is a value table: each
 distinct literal, clause and clause set of the tree once, after the
 values under it, each entry referring to earlier entries by index
 (:class:`~alcsat.normal_form.ValueTable`).  A node's ``members`` and an
@@ -98,8 +98,8 @@ or one without nodes included.
 
 ``decide_sat`` is a self-contained computation over immutable snapshots;
 concurrent calls are safe and a run's trace is a deterministic function
-of input, strategy and ``a2_anywhere``.  It keeps its own stack, so the
-length of a derivation is not bounded by Python's recursion limit.
+of input and strategy.  It keeps its own stack, so the length of a
+derivation is not bounded by Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -388,8 +388,7 @@ class Verdict:
     witness: Optional[int]  # node index of the complete clash-free family
     tree: DerivationTree
     stats: DecisionStats
-    strategy: Strategy  # the rule system and option the search ran with
-    a2_anywhere: bool
+    strategy: Strategy  # the rule system the search ran with
 
     @property
     def witness_family(self) -> Family:
@@ -429,7 +428,7 @@ def family_measure(fam: Family, depth_bound: int) -> tuple:
 Step = tuple[str, int, Clause, Optional[Literal]]  # a step's RuleApplication fields
 
 
-def _plan(fam: Family, strategy: Strategy, a2_anywhere: bool) -> Optional[list[Step]]:
+def _plan(fam: Family, strategy: Strategy) -> Optional[list[Step]]:
     """Alternatives for the next step, or None when no rule applies.
 
     This is the only code that decides which rule applies where; a
@@ -441,32 +440,22 @@ def _plan(fam: Family, strategy: Strategy, a2_anywhere: bool) -> Optional[list[S
     a1_rule = RULE_A1 if basic else RULE_A1_PLUS
     a2_rule = RULE_A2 if basic else RULE_A2_PLUS
     for i, f in enumerate(fam.members):
-        univs: list[Clause] = []
+        univ: Optional[Clause] = None
         ex: Optional[Clause] = None
         all_unit = True  # A2+ and A3 need it; only the empty clause breaks it here
         for c in f.clauses:
             lits = c.literals
             if len(lits) == 1:
-                if isinstance(lits[0], ForallLit):
-                    univs.append(c)
+                if univ is None and isinstance(lits[0], ForallLit):
+                    univ = c
                 elif ex is None and isinstance(lits[0], ExistsLit):
                     ex = c
             elif lits:
-                alts: list[Step] = [(a1_rule, i, c, lit) for lit in lits]
-                if a2_anywhere:
-                    holders: dict[Literal, Clause] = {}
-                    for d in f.clauses:
-                        for lit in d.literals:
-                            if isinstance(lit, ForallLit):
-                                holders.setdefault(lit, d)
-                    alts.extend((RULE_A2, i, d, lit) for lit, d in holders.items())
-                return alts
+                return [(a1_rule, i, c, lit) for lit in lits]
             else:
                 all_unit = False
-        if univs and (basic or all_unit):
-            if a2_anywhere:
-                return [(RULE_A2, i, u, u.literals[0]) for u in univs]
-            return [(a2_rule, i, univs[0], univs[0].literals[0])]
+        if univ is not None and (basic or all_unit):
+            return [(a2_rule, i, univ, univ.literals[0])]
         if ex is not None and all_unit:
             return [(RULE_A3, i, ex, None)]
     return None
@@ -474,7 +463,7 @@ def _plan(fam: Family, strategy: Strategy, a2_anywhere: bool) -> Optional[list[S
 
 def is_complete(fam: Family, strategy: Strategy) -> bool:
     """True iff no rule of the strategy's system applies to any member."""
-    return _plan(fam, strategy, False) is None
+    return _plan(fam, strategy) is None
 
 
 def _apply_planned(fam: Family, step: Step) -> Family:
@@ -535,7 +524,6 @@ def decide_sat(
     strategy: Strategy = Strategy.PLUS,
     *,
     max_nodes: int = 1_000_000,
-    a2_anywhere: bool = False,
 ) -> Verdict:
     """Decide satisfiability of a clause set by depth-first search over
     the derivation tree, backjumping over choice points a clash does not
@@ -544,14 +532,11 @@ def decide_sat(
     Returns a satisfiable verdict with the first complete clash-free
     family found, or an unsatisfiable one once every branch is closed.
     The tree records every visited node including clashed dead ends.
-    Raises :class:`ValueError` when ``a2_anywhere`` is asked of a
-    strategy other than basic, :class:`ResourceLimitError` once more
-    than ``max_nodes`` families have been materialized, and
+    Raises :class:`ResourceLimitError` once more than ``max_nodes``
+    families have been materialized, and
     :class:`~alcsat.normal_form.ClauseBudgetError` when a complement it
     takes would exceed the clause budget.
     """
-    if a2_anywhere and strategy is not Strategy.BASIC:
-        raise ValueError("a2_anywhere applies to the basic strategy only")
     root = Family((f,))
     tree = DerivationTree(nodes=[root])
     depth_bound = f.depth
@@ -605,7 +590,7 @@ def decide_sat(
                 conflict = _clash_deps(members[i], deps)
                 break
         else:
-            plan = _plan(fam, strategy, a2_anywhere)
+            plan = _plan(fam, strategy)
             if plan is None:
                 witness = node_id
                 break
@@ -656,7 +641,7 @@ def decide_sat(
         max_depth=max_depth_seen,
         backjumps=backjumps,
     )
-    return Verdict(witness is not None, witness, tree, stats, strategy, a2_anywhere)
+    return Verdict(witness is not None, witness, tree, stats, strategy)
 
 
 def witness_path(verdict: Verdict) -> list[tuple[Family, Optional[RuleApplication]]]:
@@ -688,9 +673,9 @@ def trace_to_json(verdict: Verdict, strategy: Strategy) -> dict:
     ``values`` is a value table (:class:`~alcsat.normal_form.ValueTable`)
     holding each literal, clause and clause set of the tree once; node
     ``members`` and edge ``clause`` / ``literal`` are indices into it.
-    ``strategy``, ``options`` and ``stats`` record how the search ran
-    and what it counted.  ``strategy`` must be the verdict's own: a
-    trace under another rule system would not replay, so it raises
+    ``strategy`` and ``stats`` record how the search ran and what it
+    counted.  ``strategy`` must be the verdict's own: a trace under
+    another rule system would not replay, so it raises
     :class:`ValueError`.
     """
     if strategy is not verdict.strategy:
@@ -712,7 +697,6 @@ def trace_to_json(verdict: Verdict, strategy: Strategy) -> dict:
     return {
         "format": TRACE_FORMAT,
         "strategy": strategy.value,
-        "options": {"a2_anywhere": verdict.a2_anywhere},
         "verdict": "sat" if verdict.satisfiable else "unsat",
         "stats": {f: getattr(verdict.stats, f) for f in DecisionStats.__slots__},
         "values": table.entries,
@@ -734,8 +718,7 @@ def decode_trace(trace: object) -> Verdict:
     own while it lives; a satisfiable trace's witness is its last node.
     Raises :class:`TraceFormatError` on anything else: not an object, a
     ``format`` other than 2 (or none), a missing field, an unknown
-    strategy or verdict, ``a2_anywhere`` on a strategy other than basic,
-    a malformed value table (see
+    strategy or verdict, a malformed value table (see
     :func:`~alcsat.normal_form.values_from_json`), no node, an index
     into the table that is out of range or names a value of the wrong
     kind, and a node, member or clash-node index out of range.
@@ -747,11 +730,6 @@ def decode_trace(trace: object) -> Verdict:
         if type(fmt) is not int or fmt != TRACE_FORMAT:
             raise ValueError(f"trace format {fmt!r}, not {TRACE_FORMAT}")
         strategy = Strategy(trace["strategy"])
-        a2_anywhere = trace["options"]["a2_anywhere"]
-        if type(a2_anywhere) is not bool:
-            raise ValueError(f"option a2_anywhere is {a2_anywhere!r}, not a boolean")
-        if a2_anywhere and strategy is not Strategy.BASIC:
-            raise ValueError("a2_anywhere applies to the basic strategy only")
         if trace["verdict"] not in ("sat", "unsat"):
             raise ValueError(f"verdict {trace['verdict']!r} is neither 'sat' nor 'unsat'")
         stats = DecisionStats(**trace["stats"])
@@ -793,7 +771,7 @@ def decode_trace(trace: object) -> Verdict:
     if not all(_in_range(i, len(nodes)) for i in tree.clash_nodes):
         raise TraceFormatError("clash node index out of range")
     sat = trace["verdict"] == "sat"
-    return Verdict(sat, len(nodes) - 1 if sat else None, tree, stats, strategy, a2_anywhere)
+    return Verdict(sat, len(nodes) - 1 if sat else None, tree, stats, strategy)
 
 
 def trace_to_dot(trace: dict) -> str:
@@ -828,12 +806,17 @@ def replay_trace(trace: dict) -> list[str]:
     Returns a list of human-readable problems; an empty list means the
     trace is internally consistent: no edge leaves a clash node, each
     edge's step is one of the alternatives ``_plan`` offers at its
-    parent under the recorded strategy and ``a2_anywhere``, re-applying
-    it reproduces the child family, clash marks are exactly the clashed
-    nodes, the verdict matches the recorded tree (a node is complete
-    when its plan is empty, and a satisfiable trace's witness, its last
-    node, is complete and clash-free), and the recorded stats count its
-    nodes and clashes.  The checks read the :class:`Verdict`
+    parent under the recorded strategy, re-applying it reproduces the
+    child family, clash marks are exactly the clashed nodes, the verdict
+    matches the recorded tree (a node is complete when its plan is
+    empty, and a satisfiable trace's witness, its last node, is complete
+    and clash-free), the steps out of every node that is neither clashed
+    nor complete are a non-empty prefix of its plan, in order (checked
+    only when nothing before was reported, as any such problem can cut
+    a node's steps short), and the recorded stats count its nodes and
+    clashes.  A trace with a node's *last* refuted child deleted still
+    replays: only a recorded reason for skipping an alternative could
+    tell it from a backjump.  The checks read the :class:`Verdict`
     :func:`decode_trace` makes, the type the search wrote.  Raises
     :class:`TraceFormatError` as :func:`decode_trace` does, so a trace
     of another format is rejected, not replayed, and
@@ -844,7 +827,7 @@ def replay_trace(trace: dict) -> list[str]:
     tree, strategy = verdict.tree, verdict.strategy.value
     nodes, clashes = tree.nodes, set(tree.clash_nodes)
     plans = [
-        None if i in clashes else _plan(fam, verdict.strategy, verdict.a2_anywhere)
+        None if i in clashes else _plan(fam, verdict.strategy)
         for i, fam in enumerate(nodes)
     ]
     problems: list[str] = []
@@ -879,6 +862,16 @@ def replay_trace(trace: dict) -> list[str]:
         )
     if not verdict.satisfiable and has_open_complete:
         problems.append("verdict unsat but a complete clash-free node exists")
+    if not problems:
+        # The search applies a node's alternatives in plan order, and a
+        # backjump drops the untried rest at once.  With no problem so
+        # far, every edge leaves a node that has a plan.
+        taken: dict[int, list] = {i: [] for i, plan in enumerate(plans) if plan is not None}
+        for parent, app, _ in tree.edges:
+            taken[parent].append(app)
+        for i, steps in taken.items():
+            if not steps or plans[i][: len(steps)] != steps:
+                problems.append(f"node {i}: its steps are not a non-empty prefix of its plan")
     stats = verdict.stats
     if stats.nodes_expanded != len(nodes):
         problems.append(f"stats: {stats.nodes_expanded} nodes expanded, {len(nodes)} recorded")

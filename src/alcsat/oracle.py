@@ -74,45 +74,45 @@ class _ModelNode:
     children: list[tuple[str, "_ModelNode"]] = field(default_factory=list)
 
 
-def _expand(todo: list[Concept], pos: frozenset[str], neg: frozenset[str],
-            exists: tuple[tuple[str, Concept], ...],
-            forall: tuple[tuple[str, Concept], ...]) -> _ModelNode | None:
+def _expand(todo: list[Concept]) -> _ModelNode | None:
     """Saturate one tableau node; return an open-branch model or None.
     A disjunction's right branch waits on ``branches`` while its left is
     tried, so only an existential's successor takes a call: one per
-    quantifier nesting level, not one per disjunction."""
-    branches = [(todo, pos, neg, exists, forall)]
+    quantifier nesting level, not one per disjunction.  A branch grows
+    its own sets and lists in place; pushing a right branch copies them."""
+    # Each branch: (todo, positive names, negated names, existentials
+    # and universals as (role, body)).
+    branches: list[tuple] = [(todo, set(), set(), [], [])]
     while branches:
         todo, pos, neg, exists, forall = branches.pop()
         while todo:
             c = todo.pop()
             if isinstance(c, Or):
-                branches.append((todo + [c.right], pos, neg, exists, forall))
+                branches.append((todo + [c.right], set(pos), set(neg), exists[:], forall[:]))
                 todo.append(c.left)
             elif isinstance(c, And):
                 todo += (c.right, c.left)
             elif isinstance(c, Exists):
-                exists += ((c.role, c.body),)
+                exists.append((c.role, c.body))
             elif isinstance(c, Forall):
-                forall += ((c.role, c.body),)
+                forall.append((c.role, c.body))
             elif isinstance(c, Name):
                 if c.name in neg:
                     break  # a clash closes the branch
-                pos |= {c.name}
+                pos.add(c.name)
             elif isinstance(c, Not):
                 # NNF guarantees the body is a name.
                 if c.body.name in pos:
                     break
-                neg |= {c.body.name}
+                neg.add(c.body.name)
             elif isinstance(c, Bottom):
                 break
             elif not isinstance(c, Top):
                 raise TypeError(f"not a Concept: {c!r}")
         else:
-            node = _ModelNode(atoms=pos)
+            node = _ModelNode(atoms=frozenset(pos))
             for role, body in exists:
-                child_todo = [body] + [d for r, d in forall if r == role]
-                child = _expand(child_todo, frozenset(), frozenset(), (), ())
+                child = _expand([body] + [d for r, d in forall if r == role])
                 if child is None:
                     break
                 node.children.append((role, child))
@@ -122,7 +122,7 @@ def _expand(todo: list[Concept], pos: frozenset[str], neg: frozenset[str],
 
 
 def _solve(c: Concept) -> _ModelNode | None:
-    return _expand([_nnf(c)], frozenset(), frozenset(), (), ())
+    return _expand([_nnf(c)])
 
 
 def oracle_sat(c: Concept) -> bool:

@@ -174,13 +174,34 @@ def clashed(m: ClauseSet) -> bool:
     return any(c.is_empty for c in m) or any(complement(lit) in units for lit in units)
 
 
+def plan_with_a2_anywhere(fam: Family) -> Optional[list]:
+    """The basic scheduler's plan with the rule order made a choice: on
+    an A1 or A2 plan, also an A2 step for each distinct universal of
+    the planned member, at its first holder clause, so a universal
+    inside a non-unit clause can be consumed and its siblings dropped.
+    On an A2 plan these steps replace the plan.  Which rule fires next
+    is a don't-care choice, so the verdict must not depend on it."""
+    plan = _plan(fam, Strategy.BASIC)
+    if plan is None or plan[0][0] == "A3":
+        return plan
+    i = plan[0][1]
+    holders: dict[Literal, Clause] = {}
+    for c in fam.members[i].clauses:
+        for lit in c.literals:
+            if isinstance(lit, ForallLit):
+                holders.setdefault(lit, c)
+    a2 = [("A2", i, c, lit) for lit, c in holders.items()]
+    return plan + a2 if plan[0][0] == "A1" else a2
+
+
 def chronological_search(
     f: ClauseSet, strategy: Strategy, a2_anywhere: bool = False
 ) -> tuple[Optional[int], list[Family], list[int]]:
     """The search as the calculus defines it: depth first, every member
     of every node clash-checked, every alternative of a failed choice
-    point tried in order (no backjumping).  Returns (witness node or
-    None, visited nodes, clash nodes)."""
+    point tried in order (no backjumping).  With ``a2_anywhere`` (basic
+    only) the plans are :func:`plan_with_a2_anywhere`'s.  Returns
+    (witness node or None, visited nodes, clash nodes)."""
     nodes: list[Family] = [Family((f,))]
     clashes: list[int] = []
 
@@ -189,7 +210,7 @@ def chronological_search(
         if any(clashed(m) for m in fam.members):
             clashes.append(node_id)
             return None
-        plan = _plan(fam, strategy, a2_anywhere)
+        plan = plan_with_a2_anywhere(fam) if a2_anywhere else _plan(fam, strategy)
         if plan is None:
             return node_id
         for step in plan:

@@ -15,9 +15,13 @@ from alcsat.clause_model import Family
 from alcsat.engine import (
     DecisionStats,
     DerivationTree,
+    RuleApplication,
     Strategy,
+    TraceEdge,
     TraceFormatError,
     Verdict,
+    _apply_planned,
+    _plan,
     decide_sat,
     trace_to_dot,
     trace_to_json,
@@ -31,7 +35,7 @@ from alcsat.normal_form import (
     to_cnf,
 )
 from alcsat.syntax import parse_concept
-from conftest import ANIMAL_TEXT, complement_by_round_trip, modal_3cnf
+from conftest import ANIMAL_TEXT, complement_by_round_trip, modal_3cnf, plan_with_a2_anywhere
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -171,16 +175,6 @@ def test_check_complements_an_existential_whose_body_holds_the_empty_clause(caps
         assert complement(lit) == complement_by_round_trip(lit) == ForallLit("R", EMPTY_CLAUSE_SET)
 
 
-def test_check_a2_anywhere_needs_the_basic_strategy(capsys):
-    # The option changes only the basic scheduler, so under plus it
-    # would be recorded without taking effect.
-    assert main(["check", "--strategy", "plus", "--a2-anywhere", "A"]) == 2
-    assert main(["check", "--a2-anywhere", "A"]) == 2
-    out, err = capsys.readouterr()
-    assert out == "" and err == "--a2-anywhere needs --strategy basic\n" * 2
-    assert main(["check", "--strategy", "basic", "--a2-anywhere", "A"]) == 0
-
-
 @pytest.mark.parametrize("command", ["check", "cnf", "trace-replay"])
 def test_file_that_is_not_utf8_exits_2(tmp_path, capsys, command):
     path = tmp_path / "latin1"
@@ -266,9 +260,7 @@ def test_trace_replay_clause_budget_exits_4(tmp_path, capsys):
     # trace is written by hand.
     body = " & ".join(f"(A{i} | B{i})" for i in range(14))
     root = Family((to_cnf(parse_concept(f"exists R.({body})")),))
-    verdict = Verdict(
-        True, 0, DerivationTree(nodes=[root]), DecisionStats(1, 0, 0, 0), Strategy.PLUS, False
-    )
+    verdict = Verdict(True, 0, DerivationTree(nodes=[root]), DecisionStats(1, 0, 0, 0), Strategy.PLUS)
     trace_path = tmp_path / "t.json"
     trace_path.write_text(json.dumps(trace_to_json(verdict, Strategy.PLUS)))
     assert main(["trace-replay", str(trace_path)]) == 4
@@ -287,7 +279,6 @@ def test_trace_replay_of_a_deeply_nested_member_needs_no_call_stack(tmp_path, ca
     trace = {
         "format": 2,
         "strategy": "plus",
-        "options": {"a2_anywhere": False},
         "verdict": "sat",
         "stats": {"nodes_expanded": 1, "clashes": 0, "max_depth": 0, "backjumps": 0},
         "values": values,
@@ -447,14 +438,45 @@ def test_trace_replay_rejects_a_missing_or_other_format(tmp_path, capsys):
     assert "trace format 1, not 2" in _replay_malformed(tmp_path, capsys, format_1)
 
 
-def test_trace_replay_rejects_a2_anywhere_on_a_plus_trace(tmp_path, capsys):
-    def claim_a2_anywhere(trace):
-        assert trace["strategy"] == "plus"
-        trace["options"]["a2_anywhere"] = True
-        return trace
+def test_trace_replay_ignores_the_options_of_an_older_trace(tmp_path, capsys):
+    # Traces once recorded the scheduler options; decoding ignores any
+    # key it does not read, so such a trace still replays.
+    trace_path = tmp_path / "t.json"
+    assert main(["check", "--strategy", "basic", "--trace", str(trace_path), ANIMAL_TEXT]) == 0
+    trace = json.loads(trace_path.read_text())
+    assert "options" not in trace
+    trace["options"] = {"a2_anywhere": False}
+    trace_path.write_text(json.dumps(trace))
+    capsys.readouterr()
+    assert main(["trace-replay", str(trace_path)]) == 0
+    assert capsys.readouterr().out == "trace ok: 11 nodes, 10 steps\n"
 
-    err = _replay_malformed(tmp_path, capsys, claim_a2_anywhere)
-    assert "a2_anywhere applies to the basic strategy only" in err
+
+def test_trace_replay_rejects_an_a2_step_on_a_universal_inside_a_clause(tmp_path, capsys):
+    # Both A1 picks clash, then A2 consumes the universal inside
+    # (forall R.A | B): a step only the A2-order search of the test
+    # reference offers, recorded with the option that once enabled it.
+    # The basic scheduler picks from that clause instead.
+    f = to_cnf(parse_concept("(forall R.A | B) & !B & exists R.!A"))
+    root = Family((f,))
+    steps = plan_with_a2_anywhere(root)
+    assert [s[0] for s in steps] == ["A1", "A1", "A2"]
+    nodes = [root] + [_apply_planned(root, s) for s in steps]
+    peel = _plan(nodes[3], Strategy.BASIC)[0]
+    nodes.append(_apply_planned(nodes[3], peel))
+    tree = DerivationTree(
+        nodes=nodes,
+        edges=[TraceEdge(0, RuleApplication(*s), k) for k, s in enumerate(steps, 1)]
+        + [TraceEdge(3, RuleApplication(*peel), 4)],
+        clash_nodes=[1, 2, 4],
+    )
+    verdict = Verdict(False, None, tree, DecisionStats(5, 3, 2, 0), Strategy.BASIC)
+    trace = trace_to_json(verdict, Strategy.BASIC)
+    trace["options"] = {"a2_anywhere": True}
+    trace_path = tmp_path / "t.json"
+    trace_path.write_text(json.dumps(trace))
+    assert main(["trace-replay", str(trace_path)]) == 1
+    assert capsys.readouterr().err == "edge 0->3: not a step the basic scheduler offers\n"
 
 
 def test_trace_demo_writes_traces_that_replay(tmp_path, capsys):
@@ -481,12 +503,12 @@ for argv in json.loads(sys.argv[1]):
 
 def test_no_output_depends_on_the_hash_seed(tmp_path):
     modal = modal_3cnf(random.Random(4), 7)[0]  # backjumps 4 times under plus
-    a2 = "(forall R.A | B) & !B & exists R.!A"  # A2 takes the universal in a clause
+    a2 = "(forall R.A | B) & !B & exists R.!A"  # a universal inside a clause
     runs = [
         ("animal_basic", ["--strategy", "basic"], ANIMAL_TEXT),
         ("animal_plus", ["--model"], ANIMAL_TEXT),
         ("modal", [], modal),
-        ("a2", ["--strategy", "basic", "--a2-anywhere"], a2),
+        ("a2", ["--strategy", "basic"], a2),
     ]
     outputs = []
     for seed in ("0", "1"):
@@ -508,10 +530,11 @@ def test_no_output_depends_on_the_hash_seed(tmp_path):
     assert stdout.count("exit ") == 11 and "UNSAT" in stdout
     assert len(files) == 8
     assert json.loads(files["modal.json"])["stats"]["backjumps"] > 0
-    assert any(e["rule"] == "A2" for e in json.loads(files["a2.json"])["edges"])
+    assert any(e["rule"] == "A2" for e in json.loads(files["animal_basic.json"])["edges"])
     assert (stdout, files) == other
 
 
 def test_usage_error_exit_2():
     assert main(["check"]) == 2
+    assert main(["check", "--a2-anywhere", "A"]) == 2  # no such option
     assert main(["no-such-command"]) == 2

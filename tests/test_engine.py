@@ -375,10 +375,12 @@ def test_strategy_agreement_with_oracle(c):
 @settings(max_examples=40, deadline=None)
 @given(small_concepts)
 def test_a2_anywhere_does_not_change_verdicts(c):
+    # Which rule fires next is a don't-care choice: the reference search
+    # that also branches on the A2 order reaches the same verdict.
     f = to_cnf(c)
     default = decide_sat(f, Strategy.BASIC).satisfiable
-    anywhere = decide_sat(f, Strategy.BASIC, a2_anywhere=True).satisfiable
-    assert default == anywhere
+    witness, _, _ = chronological_search(f, Strategy.BASIC, a2_anywhere=True)
+    assert default == (witness is not None)
 
 
 @settings(max_examples=60, deadline=None)
@@ -493,8 +495,8 @@ def test_dot_export_mentions_every_node_and_rule():
 
 # --- backjumping ---------------------------------------------------------------
 
-#: (strategy, a2_anywhere): the rule systems, and basic with A2 picks.
-MODES = [(Strategy.PLUS, False), (Strategy.BASIC, False), (Strategy.BASIC, True)]
+#: The rule systems, each a search mode.
+MODES = [Strategy.PLUS, Strategy.BASIC]
 
 
 def _is_subsequence(short: list, long: list) -> bool:
@@ -502,9 +504,9 @@ def _is_subsequence(short: list, long: list) -> bool:
     return all(any(x == y for y in rest) for x in short)
 
 
-def _assert_prunes_only_failed_subtrees(f, strategy, a2_anywhere) -> int:
-    verdict = decide_sat(f, strategy, a2_anywhere=a2_anywhere)
-    witness, nodes, _ = chronological_search(f, strategy, a2_anywhere)
+def _assert_prunes_only_failed_subtrees(f, strategy) -> int:
+    verdict = decide_sat(f, strategy)
+    witness, nodes, _ = chronological_search(f, strategy)
     assert verdict.satisfiable == (witness is not None)
     if witness is not None:
         assert verdict.witness_family == nodes[witness]
@@ -523,12 +525,12 @@ def test_backjumping_cuts_only_subtrees_without_a_witness():
         for _ in range(3):
             text, sat = modal_3cnf(rng, clauses)
             f = to_cnf(parse_concept(text))
-            for strategy, anywhere in MODES:
-                pruned += _assert_prunes_only_failed_subtrees(f, strategy, anywhere)
+            for strategy in MODES:
+                pruned += _assert_prunes_only_failed_subtrees(f, strategy)
     for n in range(1, 5):
         f = to_cnf(parse_concept(successor_family(n)))
-        for strategy, anywhere in MODES:
-            pruned += _assert_prunes_only_failed_subtrees(f, strategy, anywhere)
+        for strategy in MODES:
+            pruned += _assert_prunes_only_failed_subtrees(f, strategy)
     assert pruned > 1000
 
 
@@ -536,8 +538,8 @@ def test_successor_family_grows_linearly():
     # A search that backtracks chronologically expands 3^n nodes here.
     for n in range(1, 8):
         f = to_cnf(parse_concept(successor_family(n)))
-        for strategy, anywhere in MODES:
-            verdict = decide_sat(f, strategy, a2_anywhere=anywhere)
+        for strategy in MODES:
+            verdict = decide_sat(f, strategy)
             assert not verdict.satisfiable
             assert verdict.stats.backjumps > 0
             expected = 2 * n + (4 if strategy is Strategy.PLUS else 14)
@@ -568,10 +570,10 @@ def test_verdicts_match_brute_force_on_modal_3cnf():
             text, sat = modal_3cnf(rng, clauses)
             f = to_cnf(parse_concept(text))
             modes = MODES if clauses <= 10 else MODES[:1]
-            for strategy, anywhere in modes:
-                assert decide_sat(f, strategy, a2_anywhere=anywhere).satisfiable == sat
+            for strategy in modes:
+                assert decide_sat(f, strategy).satisfiable == sat
                 runs += 1
-    assert runs == 7 * 3 * 3 + 8 * 3
+    assert runs == 7 * 3 * 2 + 8 * 3
 
 
 def test_clash_dependency_set_is_the_least_of_the_members_clashes():
@@ -602,13 +604,13 @@ def _reachable_values(verdict) -> set:
     return seen
 
 
-def _assert_round_trip(f, strategy, a2_anywhere) -> None:
-    verdict = decide_sat(f, strategy, a2_anywhere=a2_anywhere)
+def _assert_round_trip(f, strategy) -> None:
+    verdict = decide_sat(f, strategy)
     trace = json.loads(json.dumps(trace_to_json(verdict, strategy)))
     assert replay_trace(trace) == []
     decoded = decode_trace(trace)
     assert decoded == verdict
-    assert (decoded.strategy, decoded.a2_anywhere) == (strategy, a2_anywhere)
+    assert decoded.strategy is strategy
     for got, node in zip(decoded.tree.nodes, verdict.tree.nodes):
         assert all(a is b for a, b in zip(got.members, node.members))
     for got, e in zip(decoded.tree.edges, verdict.tree.edges):
@@ -625,19 +627,21 @@ def test_trace_round_trip_on_modal_3cnf_and_the_successor_family():
     inputs += [successor_family(n) for n in (1, 2, 3)]
     for text in inputs:
         f = to_cnf(parse_concept(text))
-        for strategy, anywhere in MODES:
-            _assert_round_trip(f, strategy, anywhere)
+        for strategy in MODES:
+            _assert_round_trip(f, strategy)
 
 
 #: sha256 of the sorted-key ``trace_to_json`` texts of each run, in
-#: order, as recorded when ``complement`` still normalized the negated
-#: body as a concept.  Complements decide clash checks and A1+, so
-#: a complement that differs anywhere in these runs moves a digest.
+#: order.  Each is the digest of the traces written while the search
+#: still had its A2-order option, with only their ``options`` key
+#: removed, so traces changed by that removal alone.  Complements decide
+#: clash checks and A1+, so a complement that differs anywhere in these
+#: runs moves a digest.
 PINNED_TRACE_DIGESTS = {
-    "search seed 1": "c0be54cf25669b83cafdd482d1da6a9d31eb83f85d250b4957acd19e4626fcf5",
-    "search seed 2": "6841535b46992b0b990b6814466a6123119aa4cf1b6ad60bec93d9a50bdef7cd",
-    "animal basic": "b144c2c83c2ae718c3b720ffbd57acb5c167d80be32dd10108eaa287304d91ef",
-    "animal plus": "73bcec0518d9b7765d8d146e4c7f56179419a9bf35ed4bc8c6e129d43b66689e",
+    "search seed 1": "db31f038a7270147b658952f1683bdf25f690229b27218b3c5473339f557e241",
+    "search seed 2": "82dd06839695f629ab41d4923b221629f4fd4ce1434ed783a32ea84b25ce15d2",
+    "animal basic": "eb66cb1bd80514c756b4163d43d30c7cf859bc695cabe2bfe6220ec957eefa53",
+    "animal plus": "24b6ba890dcbc37020c2034f3013add1ec88a366eb287471a65c17c99b67ef94",
 }
 
 
@@ -661,8 +665,8 @@ def test_traces_of_the_search_inputs_and_the_animal_goldens_are_pinned(search_ru
 @given(concepts)
 def test_trace_round_trip_on_hypothesis_concepts(c):
     f = to_cnf(c)
-    for strategy, anywhere in MODES:
-        _assert_round_trip(f, strategy, anywhere)
+    for strategy in MODES:
+        _assert_round_trip(f, strategy)
 
 
 def test_trace_to_json_rejects_a_strategy_other_than_the_verdicts():
@@ -683,15 +687,42 @@ def test_replay_checks_the_recorded_stats():
         assert replay_trace(trace) == [problem]
 
 
-def test_replay_uses_the_recorded_a2_anywhere():
-    # Both A1 picks fail, so A2 consumes the universal inside (B | forall R.A).
-    f = to_cnf(parse_concept("(forall R.A | B) & !B & exists R.!A"))
-    verdict = decide_sat(f, Strategy.BASIC, a2_anywhere=True)
-    trace = trace_to_json(verdict, Strategy.BASIC)
-    assert trace["options"] == {"a2_anywhere": True}
+def _trace_of_two_refuted_picks() -> dict:
+    """The plus trace of (A | B) & !A & !B: a root whose two A1+ picks
+    both clash."""
+    verdict = decide_sat(to_cnf(parse_concept("(A | B) & !A & !B")), Strategy.PLUS)
+    trace = trace_to_json(verdict, Strategy.PLUS)
+    assert trace["verdict"] == "unsat" and trace["clash_nodes"] == [1, 2]
+    assert [(e["from"], e["to"]) for e in trace["edges"]] == [(0, 1), (0, 2)]
     assert replay_trace(trace) == []
-    trace["options"]["a2_anywhere"] = False
-    assert replay_trace(trace) == ["edge 0->3: not a step the basic scheduler offers"]
+    return trace
+
+
+def _drop_child(trace: dict, child: int) -> dict:
+    """``trace`` without node ``child`` (a clashed leaf) and its edge,
+    with the later nodes renumbered and the stats counting the rest."""
+    del trace["nodes"][child]
+    trace["edges"] = [e for e in trace["edges"] if e["to"] != child]
+    for e in trace["edges"]:
+        e["to"] -= e["to"] > child
+    trace["clash_nodes"] = [i - (i > child) for i in trace["clash_nodes"] if i != child]
+    trace["stats"]["nodes_expanded"] -= 1
+    trace["stats"]["clashes"] -= 1
+    return trace
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [
+        lambda t: _drop_child(_drop_child(t, 2), 1),  # a lone unclashed root
+        lambda t: _drop_child(t, 1),  # the root's one step is its plan's second
+        lambda t: {**t, "edges": t["edges"][::-1]},  # siblings out of plan order
+    ],
+    ids=["lone-root", "first-child-deleted", "siblings-swapped"],
+)
+def test_replay_reports_steps_that_are_not_a_prefix_of_the_plan(tamper):
+    trace = tamper(_trace_of_two_refuted_picks())
+    assert replay_trace(trace) == ["node 0: its steps are not a non-empty prefix of its plan"]
 
 
 def test_replay_checks_the_a2_target_clause():
@@ -732,7 +763,7 @@ def test_replay_reports_an_edge_out_of_a_clash_node():
     verdict = decide_sat(to_cnf(parse_concept("(A | B) & !A & (C | D)")), Strategy.PLUS)
     tree = verdict.tree
     assert tree.clash_nodes == [1]
-    step = _plan(tree.nodes[1], Strategy.PLUS, False)[0]
+    step = _plan(tree.nodes[1], Strategy.PLUS)[0]
     tree.nodes.append(_apply_planned(tree.nodes[1], step))
     tree.edges.append(TraceEdge(1, RuleApplication(*step), 4))
     tree.clash_nodes.append(4)
@@ -742,7 +773,3 @@ def test_replay_reports_an_edge_out_of_a_clash_node():
         "edge 1->4: leaves a clash node"
     ]
 
-
-def test_a2_anywhere_is_rejected_outside_basic():
-    with pytest.raises(ValueError, match="basic strategy only"):
-        decide_sat(ANIMAL_CNF, Strategy.PLUS, a2_anywhere=True)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 from hypothesis import given, settings
 
 from alcsat.normal_form import to_nnf
@@ -64,3 +66,15 @@ def test_open_branch_induces_a_model(c):
     assert (model is not None) == oracle_sat(c)
     if model is not None:
         assert eval_concept(c, model, 0)
+
+
+def test_a_long_conjunction_takes_time_linear_in_its_length():
+    # A branch grows its atom set and quantifier lists in place: copying
+    # them for every term would make this chain take seconds.
+    terms = [Forall("R", Name(f"B{i}")) if i % 8 == 0 else Name(f"A{i}") for i in range(20_000)]
+    chain = terms[0]
+    for term in terms[1:]:
+        chain = And(chain, term)
+    start = time.perf_counter()
+    assert oracle_sat(chain)
+    assert time.perf_counter() - start < 1.0

@@ -1,9 +1,13 @@
-"""The README's library example runs as written."""
+"""The README's library example runs as written, and the README and the
+``cli`` docstring name only the options the parser has."""
 
 from __future__ import annotations
 
+import argparse
 import re
 from pathlib import Path
+
+from alcsat import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -20,3 +24,42 @@ def _library_example() -> str:
 def test_readme_library_example_runs(capsys):
     exec(compile(_library_example(), str(README), "exec"), {"__name__": "readme"})
     assert capsys.readouterr().out.split() == ["True", "Strategy.PLUS", "2"]
+
+
+def _flags_by_command(lines) -> dict[str, set[str]]:
+    """The ``--flags`` each ``alcsat COMMAND ...`` line names, with the
+    indented lines that continue it."""
+    flags: dict[str, set[str]] = {}
+    command = None
+    for line in lines:
+        match = re.match(r"\s*alcsat ([a-z-]+)", line)
+        if match:
+            command = match.group(1)
+            flags.setdefault(command, set())
+        elif not line.startswith(" " * 8):
+            command = None
+        if command is not None:
+            flags[command] |= set(re.findall(r"--[a-z][a-z-]*", line.split("#", 1)[0]))
+    return flags
+
+
+def _parser_options() -> dict[str, set[str]]:
+    """Each subcommand's option strings in ``cli.build_parser()``."""
+    sub = next(
+        a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    return {
+        name: {s for a in parser._actions for s in a.option_strings} - {"-h", "--help"}
+        for name, parser in sub.choices.items()
+    }
+
+
+def test_cli_synopsis_and_readme_name_the_parser_options():
+    options = _parser_options()
+    synopsis = cli.__doc__.split("Subcommands::\n\n", 1)[1].split("\n\n", 1)[0]
+    documented = _flags_by_command(synopsis.splitlines())
+    assert documented == options
+    readme = README.read_text(encoding="utf-8").split("\n## Command line\n", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", readme, re.DOTALL).group(1)
+    for command, flags in _flags_by_command(block.splitlines()).items():
+        assert flags <= options[command], (command, flags - options[command])

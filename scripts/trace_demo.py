@@ -4,7 +4,7 @@
 Usage: ``python3 scripts/trace_demo.py [OUT_DIR]``, ``OUT_DIR`` defaulting
 to ``out/`` at the top of the repository.
 
-Writes ``animal_basic.{json,dot}`` and ``animal_plus.{json,dot}`` (format-2
+Writes ``animal_basic.{json,dot}`` and ``animal_plus.{json,dot}`` (format-3
 traces, which ``alcsat trace-replay`` verifies) into ``OUT_DIR`` and
 prints a short summary of each derivation.  Render the DOT files with
 ``dot -Tpdf out/animal_basic.dot -o basic.pdf``.

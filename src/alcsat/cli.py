@@ -19,13 +19,15 @@ input or in a complement the search takes); ``cnf`` exits 4 on the
 clause budget too.  ``fuzz`` prints the differential report JSON (with
 ``plus_fewer_nodes``, the trials where plus expanded fewer nodes than
 basic) and exits 0 when it is clean and 5 on any disagreement.
-``check --trace PATH.json`` writes a format-2 trace
-(``engine.trace_to_json``: a value table that holds each literal, clause
-and clause set once, and the run's stats).  ``trace-replay`` exits 0
-when the recorded trace replays exactly, 1 when it does not, 2 when the
-file cannot be read (not UTF-8 included) or is not a format-2 trace, an
-older trace without ``"format": 2`` included, and 4 when a clash check
-takes a complement over the clause budget (one line on stderr).
+``check --trace PATH.json`` writes a format-3 trace
+(``engine.trace_to_json``: the root clause set as a value table, each
+later node as its parent and the index of its step in the parent's
+plan, and the run's stats).  ``trace-replay`` re-derives every node and
+exits 0 when the recorded trace replays exactly, 1 when it does not, 2
+when the file cannot be read (not UTF-8 included) or is not a format-3
+trace, an older trace of format 2 or without ``"format"`` included, and
+4 when a step or a clash check takes a complement over the clause
+budget (one line on stderr).
 
 An argument naming an existing file is read as UTF-8 holding one concept;
 ``#`` starts a line comment.  Configuration is flags only, so runs are
@@ -176,7 +178,8 @@ def _cmd_trace_replay(args: argparse.Namespace) -> int:
         for problem in problems:
             print(problem, file=sys.stderr)
         return 1
-    print(f"trace ok: {len(trace['nodes'])} nodes, {len(trace['edges'])} steps")
+    nodes = len(trace["nodes"])
+    print(f"trace ok: {nodes} nodes, {nodes - 1} steps")
     return 0
 
 

@@ -81,20 +81,21 @@ rule application strictly decreases the measure; :func:`decide_sat`
 asserts this at each step, computing each node's measure once and
 carrying it down as the parent measure of the next step.
 
-Traces (format 2).  :func:`trace_to_json` writes a run as one JSON object:
-``format`` (2), ``strategy``, ``verdict``, ``stats`` (the
-:class:`DecisionStats` fields), ``values``, ``nodes``, ``edges`` and
-``clash_nodes``.  ``values`` is a value table: each
-distinct literal, clause and clause set of the tree once, after the
-values under it, each entry referring to earlier entries by index
-(:class:`~alcsat.normal_form.ValueTable`).  A node's ``members`` and an
-edge's ``clause`` and ``literal`` are indices into it, so a member the
-nodes share, as a node shares all but one with its parent, is written
-and decoded once.  :func:`decode_trace` reads the format back as the
-search's own :class:`Verdict`, edges of :class:`RuleApplication` steps
-and all, for :func:`replay_trace` and :func:`trace_to_dot`, and raises
-:class:`TraceFormatError` on anything else, a trace of another format
-or one without nodes included.
+Traces (format 3).  :func:`trace_to_json` writes a run as one JSON object:
+``format`` (3), ``strategy``, ``verdict``, ``stats`` (the
+:class:`DecisionStats` fields), ``values``, ``root``, ``nodes`` and
+``clash_nodes``.  ``values`` is the value table of the root clause set
+(:class:`~alcsat.normal_form.ValueTable`) and ``root`` its index there.
+The search is deterministic but for its A1/A1+ picks, so a trace
+records only those: ``nodes[0]`` is ``null`` and ``nodes[i]`` is
+``[parent, k]``, the node the ``k``-th alternative of its parent's plan
+makes.  :func:`decode_trace` re-derives every node from the root, so
+decoding is replaying and a trace cannot name a family the rules do
+not derive.  It returns the search's own :class:`Verdict`, edges of
+:class:`RuleApplication` steps and all, for :func:`replay_trace` and
+:func:`trace_to_dot`, and raises :class:`TraceFormatError` on anything
+else, a trace of another format, one without nodes and one with a step
+its parent's plan does not hold included.
 
 ``decide_sat`` is a self-contained computation over immutable snapshots;
 concurrent calls are safe and a run's trace is a deterministic function
@@ -110,9 +111,8 @@ from collections.abc import Iterator, Mapping
 from types import MappingProxyType
 from typing import NamedTuple, Optional
 
-from alcsat.clause_model import Family, family_to_json, family_from_json
+from alcsat.clause_model import Family
 from alcsat.normal_form import (
-    LITERAL_TYPES,
     Clause,
     ClauseSet,
     ExistsLit,
@@ -664,65 +664,54 @@ def witness_path(verdict: Verdict) -> list[tuple[Family, Optional[RuleApplicatio
 # --- Trace serialization and replay ----------------------------------------
 
 #: The trace format :func:`trace_to_json` writes and the only one read.
-TRACE_FORMAT = 2
+TRACE_FORMAT = 3
 
 
 def trace_to_json(verdict: Verdict, strategy: Strategy) -> dict:
-    """The verdict's derivation as a format-2 trace (a JSON object).
+    """The verdict's derivation as a format-3 trace (a JSON object).
 
-    ``values`` is a value table (:class:`~alcsat.normal_form.ValueTable`)
-    holding each literal, clause and clause set of the tree once; node
-    ``members`` and edge ``clause`` / ``literal`` are indices into it.
-    ``strategy`` and ``stats`` record how the search ran and what it
-    counted.  ``strategy`` must be the verdict's own: a trace under
-    another rule system would not replay, so it raises
-    :class:`ValueError`.
+    ``values`` is the value table (:class:`~alcsat.normal_form.ValueTable`)
+    of the root clause set and ``root`` its index there.  ``nodes[i]``
+    is ``[parent, k]`` for each node past the root: the step that made
+    it is alternative ``k`` of its parent's plan.  The search tries a
+    node's alternatives in plan order, so ``k`` is the number of the
+    node's earlier siblings.  ``strategy`` and ``stats`` record how the
+    search ran and what it counted.  ``strategy`` must be the verdict's
+    own: a trace under another rule system would not replay, so it
+    raises :class:`ValueError`.
     """
     if strategy is not verdict.strategy:
         raise ValueError(f"cannot trace a {verdict.strategy.value} verdict as {strategy.value}")
+    tree = verdict.tree
     table = ValueTable()
-    nodes = [family_to_json(n, table) for n in verdict.tree.nodes]
-    edges = []
-    for e in verdict.tree.edges:
-        app = e.application
-        lit = app.chosen_literal
-        edges.append({
-            "from": e.parent,
-            "rule": app.rule,
-            "member": app.member_index,
-            "clause": table.index(app.target_clause),
-            "literal": None if lit is None else table.index(lit),
-            "to": e.child,
-        })
+    root = table.index(tree.nodes[0].members[0])
+    nodes: list = [None] * len(tree.nodes)
+    siblings = [0] * len(tree.nodes)
+    for parent, _, child in tree.edges:
+        nodes[child] = [parent, siblings[parent]]
+        siblings[parent] += 1
     return {
         "format": TRACE_FORMAT,
         "strategy": strategy.value,
         "verdict": "sat" if verdict.satisfiable else "unsat",
         "stats": {f: getattr(verdict.stats, f) for f in DecisionStats.__slots__},
         "values": table.entries,
+        "root": root,
         "nodes": nodes,
-        "edges": edges,
         "clash_nodes": list(verdict.tree.clash_nodes),
     }
 
 
-def _in_range(i: object, n: int) -> bool:
-    return type(i) is int and 0 <= i < n
+class _StepNotOffered(TraceFormatError):
+    """A recorded choice that is not an alternative of its parent's plan,
+    so the node it names cannot be derived."""
 
 
-def decode_trace(trace: object) -> Verdict:
-    """Decode and shape-check a trace :func:`trace_to_json` wrote, as the
-    :class:`Verdict` it was written from.
-
-    Its nodes hold the interned values, so they are the searched tree's
-    own while it lives; a satisfiable trace's witness is its last node.
-    Raises :class:`TraceFormatError` on anything else: not an object, a
-    ``format`` other than 2 (or none), a missing field, an unknown
-    strategy or verdict, a malformed value table (see
-    :func:`~alcsat.normal_form.values_from_json`), no node, an index
-    into the table that is out of range or names a value of the wrong
-    kind, and a node, member or clash-node index out of range.
-    """
+def _decode(trace: object) -> tuple[Verdict, dict[int, Optional[list[Step]]]]:
+    """The :class:`Verdict` a trace records, each node re-derived from
+    its parent's plan, and those plans by node (``None`` for a complete
+    node).  Raises as :func:`decode_trace` says, :class:`_StepNotOffered`
+    for a choice past its parent's plan."""
     if not isinstance(trace, dict):
         raise TraceFormatError(f"a trace is a JSON object, not {type(trace).__name__}")
     try:
@@ -736,42 +725,70 @@ def decode_trace(trace: object) -> Verdict:
         if not all(type(getattr(stats, f)) is int for f in DecisionStats.__slots__):
             raise ValueError(f"stats {trace['stats']!r} are not all integers")
         values = values_from_json(trace["values"])
-        tree = DerivationTree()
-        nodes = tree.nodes
-        for i, data in enumerate(trace["nodes"]):
-            try:
-                nodes.append(family_from_json(data, values))
-            except ValueError as exc:
-                raise ValueError(f"node {i}: {exc}") from None
-        if not nodes:
-            raise ValueError("a trace holds at least its root node")
-        for e in trace["edges"]:
-            parent, member, child, lit = e["from"], e["member"], e["to"], e["literal"]
-            if not (
-                _in_range(parent, len(nodes))
-                and _in_range(child, len(nodes))
-                and _in_range(member, len(nodes[parent].members))
-            ):
-                raise ValueError(
-                    f"edge {parent!r}->{child!r} (member {member!r}): index out of range"
-                )
-            try:
-                target = table_ref(values, e["clause"], Clause)
-                if lit is not None:
-                    lit = table_ref(values, lit, LITERAL_TYPES)
-            except ValueError as exc:
-                raise ValueError(f"edge {parent}->{child}: {exc}") from None
-            app = RuleApplication(e["rule"], member, target, lit)
-            tree.edges.append(TraceEdge(parent, app, child))
-        tree.clash_nodes = list(trace["clash_nodes"])
+        try:
+            root = table_ref(values, trace["root"], ClauseSet)
+        except ValueError as exc:
+            raise ValueError(f"root: {exc}") from None
+        choices = trace["nodes"]
+        if not isinstance(choices, list) or not choices or choices[0] is not None:
+            raise ValueError("a trace holds at least its root node, as null")
+        for i in range(1, len(choices)):
+            entry = choices[i]
+            if not (isinstance(entry, list) and len(entry) == 2):
+                raise ValueError(f"node {i}: {entry!r} is not [parent, k]")
+            parent, k = entry
+            if not (type(parent) is int and type(k) is int and 0 <= parent < i and k >= 0):
+                raise ValueError(f"node {i}: [parent, k] {entry!r} out of range")
+        # The search appends a node's mark once, as it visits the node.
+        clash_nodes = trace["clash_nodes"]
+        if not (
+            isinstance(clash_nodes, list)
+            and all(type(i) is int for i in clash_nodes)
+            and all(a < b for a, b in zip([-1] + clash_nodes, clash_nodes + [len(choices)]))
+        ):
+            raise ValueError("clash nodes are not strictly increasing node indices")
     except KeyError as exc:
         raise TraceFormatError(f"missing field {exc}") from exc
     except (TypeError, ValueError, RecursionError) as exc:
         raise TraceFormatError(str(exc)) from exc
-    if not all(_in_range(i, len(nodes)) for i in tree.clash_nodes):
-        raise TraceFormatError("clash node index out of range")
+    tree = DerivationTree(nodes=[Family((root,))], clash_nodes=list(clash_nodes))
+    nodes = tree.nodes
+    plans: dict[int, Optional[list[Step]]] = {}
+    for child in range(1, len(choices)):
+        parent, k = choices[child]
+        if parent not in plans:
+            plans[parent] = _plan(nodes[parent], strategy)
+        plan = plans[parent]
+        if plan is None or k >= len(plan):
+            raise _StepNotOffered(
+                f"edge {parent}->{child}: not a step the {strategy.value} scheduler offers"
+            )
+        nodes.append(_apply_planned(nodes[parent], plan[k]))
+        tree.edges.append(TraceEdge(parent, RuleApplication(*plan[k]), child))
     sat = trace["verdict"] == "sat"
-    return Verdict(sat, len(nodes) - 1 if sat else None, tree, stats, strategy)
+    return Verdict(sat, len(nodes) - 1 if sat else None, tree, stats, strategy), plans
+
+
+def decode_trace(trace: object) -> Verdict:
+    """Decode a trace :func:`trace_to_json` wrote, as the
+    :class:`Verdict` it was written from, by re-deriving each node from
+    the root with the recorded choices.
+
+    Its nodes hold the interned values, so they are the searched tree's
+    own while it lives; a satisfiable trace's witness is its last node.
+    Raises :class:`TraceFormatError` on anything else: not an object, a
+    ``format`` other than 3 (or none), a missing field, an unknown
+    strategy or verdict, a malformed value table (see
+    :func:`~alcsat.normal_form.values_from_json`), a ``root`` that is
+    not a clause set's index, a ``nodes`` list that does not start with
+    the root's ``null``, a node that is not ``[parent, k]`` with
+    ``parent`` below its own index and ``k`` not negative, a ``k`` past
+    its parent's plan (the parent complete included), and clash nodes
+    that are not strictly increasing node indices.  Raises
+    :class:`~alcsat.normal_form.ClauseBudgetError` when a step takes a
+    complement over the clause budget.
+    """
+    return _decode(trace)[0]
 
 
 def trace_to_dot(trace: dict) -> str:
@@ -800,44 +817,45 @@ def trace_to_dot(trace: dict) -> str:
 
 
 def replay_trace(trace: dict) -> list[str]:
-    """Check every recorded step of a format-2 trace against the scheduler
-    and re-apply it.
+    """Check a format-3 trace: re-derive every node from the recorded
+    choices, and check the tree against the scheduler.
 
     Returns a list of human-readable problems; an empty list means the
-    trace is internally consistent: no edge leaves a clash node, each
-    edge's step is one of the alternatives ``_plan`` offers at its
-    parent under the recorded strategy, re-applying it reproduces the
-    child family, clash marks are exactly the clashed nodes, the verdict
-    matches the recorded tree (a node is complete when its plan is
-    empty, and a satisfiable trace's witness, its last node, is complete
-    and clash-free), the steps out of every node that is neither clashed
-    nor complete are a non-empty prefix of its plan, in order (checked
-    only when nothing before was reported, as any such problem can cut
-    a node's steps short), and the recorded stats count its nodes and
-    clashes.  A trace with a node's *last* refuted child deleted still
-    replays: only a recorded reason for skipping an alternative could
-    tell it from a backjump.  The checks read the :class:`Verdict`
-    :func:`decode_trace` makes, the type the search wrote.  Raises
-    :class:`TraceFormatError` as :func:`decode_trace` does, so a trace
-    of another format is rejected, not replayed, and
-    :class:`~alcsat.normal_form.ClauseBudgetError` when a clash check
-    takes a complement over the clause budget.
+    trace is internally consistent: each node's choice is an alternative
+    of its parent's plan under the recorded strategy (replay stops at
+    the first that is not, as the node it names cannot be built), no
+    edge leaves a clash node, clash marks are exactly the clashed nodes,
+    the verdict matches the recorded tree (a node is complete when its
+    plan is empty, and a satisfiable trace's witness, its last node, is
+    complete and clash-free), the choices out of every node that is
+    neither clashed nor complete are 0, 1, ... in node order, a
+    non-empty prefix of its plan (checked only when nothing before was
+    reported, as any such problem can cut a node's steps short), and the
+    recorded stats count its nodes and clashes.  A trace with a node's
+    *last* refuted child deleted still replays: only a recorded reason
+    for skipping an alternative could tell it from a backjump.  The
+    checks read the :class:`Verdict` :func:`decode_trace` makes, the
+    type the search wrote.  Raises :class:`TraceFormatError` as
+    :func:`decode_trace` does, but for a choice past its parent's plan,
+    so a trace of another format is rejected, not replayed, and
+    :class:`~alcsat.normal_form.ClauseBudgetError` when a step or a
+    clash check takes a complement over the clause budget.
     """
-    verdict = decode_trace(trace)
-    tree, strategy = verdict.tree, verdict.strategy.value
+    try:
+        verdict, planned = _decode(trace)
+    except _StepNotOffered as exc:
+        return [str(exc)]
+    tree = verdict.tree
     nodes, clashes = tree.nodes, set(tree.clash_nodes)
     plans = [
-        None if i in clashes else _plan(fam, verdict.strategy)
+        None if i in clashes else planned[i] if i in planned else _plan(fam, verdict.strategy)
         for i, fam in enumerate(nodes)
     ]
-    problems: list[str] = []
-    for parent, app, child in tree.edges:
-        if parent in clashes:
-            problems.append(f"edge {parent}->{child}: leaves a clash node")
-        elif app not in (plans[parent] or ()):
-            problems.append(f"edge {parent}->{child}: not a step the {strategy} scheduler offers")
-        elif _apply_planned(nodes[parent], app) != nodes[child]:
-            problems.append(f"edge {parent}->{child}: replayed family differs from recorded one")
+    problems = [
+        f"edge {parent}->{child}: leaves a clash node"
+        for parent, _, child in tree.edges
+        if parent in clashes
+    ]
     bad_edges = len(problems)
     # Nodes share most members with their parents: check each value once.
     clash_of: dict[ClauseSet, bool] = {}
@@ -865,7 +883,9 @@ def replay_trace(trace: dict) -> list[str]:
     if not problems:
         # The search applies a node's alternatives in plan order, and a
         # backjump drops the untried rest at once.  With no problem so
-        # far, every edge leaves a node that has a plan.
+        # far, every edge leaves a node that has a plan.  Each step is
+        # the alternative its choice names, so the steps out of a node
+        # are its plan's first ones exactly when its choices are 0, 1, ...
         taken: dict[int, list] = {i: [] for i, plan in enumerate(plans) if plan is not None}
         for parent, app, _ in tree.edges:
             taken[parent].append(app)

@@ -9,9 +9,7 @@ from alcsat.clause_model import (
     EmptyClauseSetError,
     Family,
     FamilyEdge,
-    family_from_json,
     family_get,
-    family_to_json,
     rol,
     sub,
 )
@@ -24,9 +22,7 @@ from alcsat.normal_form import (
     ForallLit,
     Neg,
     Pos,
-    ValueTable,
     to_cnf,
-    values_from_json,
 )
 from conftest import (
     ANIMAL_BASIC_NODES,
@@ -182,12 +178,3 @@ def test_family_edges_form_forest_rooted_at_zero():
         # every non-root member was appended by a peel and has one parent
         assert children == set(range(1, len(fam.members)))
 
-
-def test_family_json_round_trip():
-    fam = ANIMAL_BASIC_NODES[7]
-    table = ValueTable()
-    data = family_to_json(fam, table)
-    assert set(data) == {"members", "edges"}
-    assert data["members"] == [table.index(m) for m in fam.members]
-    assert data["edges"] == [[0, "hasPart", 1]]
-    assert family_from_json(data, values_from_json(table.entries)) == fam

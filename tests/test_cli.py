@@ -23,6 +23,7 @@ from alcsat.engine import (
     _apply_planned,
     _plan,
     decide_sat,
+    decode_trace,
     trace_to_dot,
     trace_to_json,
 )
@@ -277,13 +278,13 @@ def test_trace_replay_of_a_deeply_nested_member_needs_no_call_stack(tmp_path, ca
         k = len(values)
         values += [["exists", "R", k - 1], ["clause", [k]], ["clause_set", [k + 1]]]
     trace = {
-        "format": 2,
+        "format": 3,
         "strategy": "plus",
         "verdict": "sat",
         "stats": {"nodes_expanded": 1, "clashes": 0, "max_depth": 0, "backjumps": 0},
         "values": values,
-        "nodes": [{"members": [len(values) - 1], "edges": []}],
-        "edges": [],
+        "root": len(values) - 1,
+        "nodes": [None],
         "clash_nodes": [],
     }
     trace_path = tmp_path / "t.json"
@@ -329,17 +330,17 @@ def test_trace_replay_rejects_a_json_array(tmp_path, capsys):
     assert "JSON object" in _replay_malformed(tmp_path, capsys, lambda t: [t])
 
 
-def test_trace_replay_rejects_a_trace_without_edges(tmp_path, capsys):
-    def drop_edges(trace):
-        del trace["edges"]
+def test_trace_replay_rejects_a_trace_without_a_root(tmp_path, capsys):
+    def drop_root(trace):
+        del trace["root"]
         return trace
 
-    assert "'edges'" in _replay_malformed(tmp_path, capsys, drop_edges)
+    assert "'root'" in _replay_malformed(tmp_path, capsys, drop_root)
 
 
 def test_trace_replay_rejects_a_trace_without_nodes(tmp_path, capsys):
     def drop_nodes(trace):
-        trace.update(verdict="unsat", nodes=[], edges=[], clash_nodes=[])
+        trace.update(verdict="unsat", nodes=[], clash_nodes=[])
         trace["stats"].update(nodes_expanded=0, clashes=0)
         return trace
 
@@ -355,12 +356,13 @@ def test_trace_replay_rejects_an_unknown_strategy(tmp_path, capsys):
 
 
 def test_trace_replay_rejects_an_edge_index_out_of_range(tmp_path, capsys):
-    for field, value in (("from", 99), ("to", -1)):
+    # A node's parent comes before it, and its choice is not negative.
+    for node in ([99, 0], [-1, 0], [1, 0], [0, -1]):
         def point_away(trace):
-            trace["edges"][0][field] = value
+            trace["nodes"][1] = node
             return trace
 
-        assert "out of range" in _replay_malformed(tmp_path, capsys, point_away)
+        assert "node 1: [parent, k] " in _replay_malformed(tmp_path, capsys, point_away)
 
 
 def test_trace_replay_rejects_a_reference_to_itself_or_a_later_value(tmp_path, capsys):
@@ -384,20 +386,25 @@ def test_trace_replay_rejects_a_clause_set_inside_a_clause(tmp_path, capsys):
 
 
 def test_trace_replay_rejects_a_clause_as_an_edge_literal(tmp_path, capsys):
+    # A trace records no edge literal any more: each literal an A1 step
+    # picks is a member of a clause entry, so a clause there is refused.
     def swap(trace):
-        edge = next(e for e in trace["edges"] if e["literal"] is not None)
-        edge["literal"] = edge["clause"]
+        k = _entry_index(trace, "clause", -1)
+        trace["values"][k][1][0] = _entry_index(trace, "clause")
         return trace
 
     assert "is a clause, not a literal" in _replay_malformed(tmp_path, capsys, swap)
 
 
 def test_trace_replay_rejects_a_literal_as_a_member(tmp_path, capsys):
-    def swap(trace):
-        trace["nodes"][0]["members"][0] = _entry_index(trace, "pos")
-        return trace
+    # The root clause set is the root node's one member.
+    for tag, kind in (("pos", "literal"), ("clause", "clause")):
+        def swap(trace):
+            trace["root"] = _entry_index(trace, tag)
+            return trace
 
-    assert "is a literal, not a clause set" in _replay_malformed(tmp_path, capsys, swap)
+        err = _replay_malformed(tmp_path, capsys, swap)
+        assert err.startswith("malformed trace: root: ") and f"is a {kind}, not a clause set" in err
 
 
 def test_trace_replay_rejects_an_unknown_tag(tmp_path, capsys):
@@ -419,10 +426,10 @@ def test_trace_replay_rejects_a_name_or_role_that_is_not_a_string(tmp_path, caps
 
 def test_trace_replay_rejects_a_member_index_past_the_table(tmp_path, capsys):
     def point_past(trace):
-        trace["nodes"][0]["members"][0] = len(trace["values"])
+        trace["root"] = len(trace["values"])
         return trace
 
-    assert "node 0: " in _replay_malformed(tmp_path, capsys, point_past)
+    assert "root: " in _replay_malformed(tmp_path, capsys, point_past)
 
 
 def test_trace_replay_rejects_a_missing_or_other_format(tmp_path, capsys):
@@ -434,8 +441,83 @@ def test_trace_replay_rejects_a_missing_or_other_format(tmp_path, capsys):
         trace["format"] = 1
         return trace
 
-    assert "trace format None, not 2" in _replay_malformed(tmp_path, capsys, drop_format)
-    assert "trace format 1, not 2" in _replay_malformed(tmp_path, capsys, format_1)
+    def format_2(trace):
+        trace["format"] = 2
+        return trace
+
+    assert "trace format None, not 3" in _replay_malformed(tmp_path, capsys, drop_format)
+    assert "trace format 1, not 3" in _replay_malformed(tmp_path, capsys, format_1)
+    assert "trace format 2, not 3" in _replay_malformed(tmp_path, capsys, format_2)
+
+
+#: The format-2 plus trace of (A | B) & !A & !B with a node appended
+#: that no edge reaches, whose one member is the empty clause set, and
+#: the verdict turned to ``sat``.  Format 2 wrote each node's family out
+#: and never checked that a node derives from the root, so this replayed
+#: with exit 0 and decoded with that family as its witness.
+FORGED_FORMAT_2 = {
+    "format": 2, "strategy": "plus", "verdict": "sat",
+    "stats": {"nodes_expanded": 4, "clashes": 2, "max_depth": 1, "backjumps": 0},
+    "values": [
+        ["pos", "A"], ["pos", "B"], ["clause", [0, 1]], ["neg", "A"], ["clause", [3]],
+        ["neg", "B"], ["clause", [5]], ["clause_set", [2, 4, 6]], ["clause", []],
+        ["clause", [0]], ["clause_set", [8, 9, 6]], ["clause", [1]],
+        ["clause_set", [8, 11, 4]], ["clause_set", []],
+    ],
+    "nodes": [
+        {"members": [7], "edges": []}, {"members": [10], "edges": []},
+        {"members": [12], "edges": []}, {"members": [13], "edges": []},
+    ],
+    "edges": [
+        {"from": 0, "rule": "A1+", "member": 0, "clause": 2, "literal": 0, "to": 1},
+        {"from": 0, "rule": "A1+", "member": 0, "clause": 2, "literal": 1, "to": 2},
+    ],
+    "clash_nodes": [1, 2],
+}
+
+
+@pytest.mark.parametrize(
+    "nodes, code, err",
+    [
+        (None, 2, "malformed trace: trace format 2, not 3\n"),
+        ([None, [0, 0], [0, 1], None], 2, "malformed trace: node 3: None is not [parent, k]\n"),
+        ([None, [0, 0], [0, 1], [3, 0]], 2, "malformed trace: node 3: [parent, k] [3, 0] out of range\n"),
+        ([None, [0, 0], [0, 1]], 1, "verdict sat but no complete clash-free node recorded\n"),
+    ],
+    ids=["format-2", "null-node", "own-parent", "sat-claim"],
+)
+def test_trace_replay_rejects_a_witness_the_root_does_not_derive(tmp_path, capsys, nodes, code, err):
+    # Format 3 names a node only by the choice that derives it from its
+    # parent, so a family the rules do not reach cannot be written down:
+    # the forged file, a node without a parent and a node that is its
+    # own parent are malformed, and a bare sat claim does not replay.
+    trace = FORGED_FORMAT_2
+    if nodes is not None:
+        f = to_cnf(parse_concept("(A | B) & !A & !B"))
+        trace = trace_to_json(decide_sat(f, Strategy.PLUS), Strategy.PLUS)
+        trace.update(verdict="sat", nodes=nodes)
+        trace["stats"]["nodes_expanded"] = len(nodes)
+    trace_path = tmp_path / "t.json"
+    trace_path.write_text(json.dumps(trace))
+    assert main(["trace-replay", str(trace_path)]) == code
+    assert capsys.readouterr().err == err
+
+
+def test_trace_replay_rejects_repeated_clash_marks(tmp_path, capsys):
+    # The search marks a clash node once, as it visits it, so its marks
+    # are strictly increasing; a repeated mark once replayed, as the
+    # stats check counted the distinct marks.
+    f = to_cnf(parse_concept("(A | B) & !A & !B"))
+    trace = trace_to_json(decide_sat(f, Strategy.PLUS), Strategy.PLUS)
+    assert trace["clash_nodes"] == [1, 2]
+    for marks in ([1, 2, 1], [1, 1, 2], [2, 1], [1, 3]):
+        trace["clash_nodes"] = marks
+        trace_path = tmp_path / "t.json"
+        trace_path.write_text(json.dumps(trace))
+        assert main(["trace-replay", str(trace_path)]) == 2
+        assert capsys.readouterr().err == (
+            "malformed trace: clash nodes are not strictly increasing node indices\n"
+        )
 
 
 def test_trace_replay_ignores_the_options_of_an_older_trace(tmp_path, capsys):
@@ -455,8 +537,9 @@ def test_trace_replay_ignores_the_options_of_an_older_trace(tmp_path, capsys):
 def test_trace_replay_rejects_an_a2_step_on_a_universal_inside_a_clause(tmp_path, capsys):
     # Both A1 picks clash, then A2 consumes the universal inside
     # (forall R.A | B): a step only the A2-order search of the test
-    # reference offers, recorded with the option that once enabled it.
-    # The basic scheduler picks from that clause instead.
+    # reference offers.  The basic scheduler picks from that clause
+    # instead, so the trace records the A2 as the root's third choice,
+    # past its two-way plan, and the node it names cannot be derived.
     f = to_cnf(parse_concept("(forall R.A | B) & !B & exists R.!A"))
     root = Family((f,))
     steps = plan_with_a2_anywhere(root)
@@ -472,7 +555,7 @@ def test_trace_replay_rejects_an_a2_step_on_a_universal_inside_a_clause(tmp_path
     )
     verdict = Verdict(False, None, tree, DecisionStats(5, 3, 2, 0), Strategy.BASIC)
     trace = trace_to_json(verdict, Strategy.BASIC)
-    trace["options"] = {"a2_anywhere": True}
+    assert trace["nodes"] == [None, [0, 0], [0, 1], [0, 2], [3, 0]]
     trace_path = tmp_path / "t.json"
     trace_path.write_text(json.dumps(trace))
     assert main(["trace-replay", str(trace_path)]) == 1
@@ -530,7 +613,8 @@ def test_no_output_depends_on_the_hash_seed(tmp_path):
     assert stdout.count("exit ") == 11 and "UNSAT" in stdout
     assert len(files) == 8
     assert json.loads(files["modal.json"])["stats"]["backjumps"] > 0
-    assert any(e["rule"] == "A2" for e in json.loads(files["animal_basic.json"])["edges"])
+    edges = decode_trace(json.loads(files["animal_basic.json"])).tree.edges
+    assert any(e.application.rule == "A2" for e in edges)
     assert (stdout, files) == other
 
 

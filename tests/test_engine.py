@@ -15,9 +15,8 @@ from alcsat.engine import (
     NotAllUnitError,
     PreconditionError,
     ResourceLimitError,
-    RuleApplication,
     Strategy,
-    TraceEdge,
+    TraceFormatError,
     UniversalPresentError,
     apply_a1,
     apply_a1_plus,
@@ -35,7 +34,6 @@ from alcsat.engine import (
     witness_path,
     _apply_planned,
     _clash_deps,
-    _plan,
 )
 from alcsat.normal_form import (
     EMPTY_CLAUSE_SET,
@@ -444,33 +442,54 @@ def test_trace_json_shape_and_replay():
     assert trace["verdict"] == "sat"
     assert len(trace["nodes"]) == 11
     assert trace["clash_nodes"] == [3, 7]
-    assert {e["rule"] for e in trace["edges"]} == {"A1", "A2", "A3"}
+    assert trace["nodes"][:3] == [None, [0, 0], [1, 0]]
+    assert {e.application.rule for e in decode_trace(trace).tree.edges} == {"A1", "A2", "A3"}
     assert replay_trace(trace) == []
 
 
 def test_replay_detects_tampering():
+    # Swap the choices of nodes 2 and 5, the two picks at node 1: the
+    # families re-derived below them swap sides, so the clash mark of
+    # node 4 lands on a complete clash-free family and the witness, node
+    # 7, holds the clash.
     verdict = decide_sat(ANIMAL_CNF, Strategy.PLUS)
     trace = trace_to_json(verdict, Strategy.PLUS)
-    trace["nodes"][3], trace["nodes"][6] = trace["nodes"][6], trace["nodes"][3]
-    assert replay_trace(trace)
+    assert trace["nodes"][2] == [1, 0] and trace["nodes"][5] == [1, 1]
+    trace["nodes"][2], trace["nodes"][5] = trace["nodes"][5], trace["nodes"][2]
+    assert replay_trace(trace) == [
+        "node 4: clash mark disagrees with family content",
+        "node 7: clash mark disagrees with family content",
+    ]
+
+
+def _reordered(trace: dict, order: list[int]) -> dict:
+    """``trace`` with its nodes in ``order`` (a list of its node indices,
+    the root first, each parent before its children), those left out
+    dropped, and the clash marks and stats renumbered to match."""
+    new = {old: i for i, old in enumerate(order)}
+    nodes = trace["nodes"]
+    trace["nodes"] = [None] + [[new[nodes[old][0]], nodes[old][1]] for old in order[1:]]
+    trace["clash_nodes"] = sorted(new[i] for i in trace["clash_nodes"] if i in new)
+    trace["stats"]["nodes_expanded"] = len(order)
+    trace["stats"]["clashes"] = len(trace["clash_nodes"])
+    return trace
 
 
 @pytest.mark.parametrize("other", [9, 7])
 def test_replay_reports_a_sat_trace_whose_last_node_is_not_the_witness(other):
-    # Swap node 10, the witness, with node 9 (incomplete) or node 7 (a
-    # clash), renumbering the edge ends and the clash marks: every edge
-    # still re-applies, but the last node, which a decoded trace takes
-    # as the witness, is not complete and clash-free.
-    trace = trace_to_json(decide_sat(ANIMAL_CNF, Strategy.BASIC), Strategy.BASIC)
+    # Move the subtree that holds the witness before its sibling subtree
+    # (at node 4 of the basic trace, node 1 of the plus trace): every
+    # node still re-derives, but the last node, which a decoded trace
+    # takes as the witness, is node 7 of the plus trace, a clash, or,
+    # with the basic trace's last node dropped, node 9, incomplete.
+    strategy, order = {
+        9: (Strategy.BASIC, [0, 1, 2, 3, 4, 8, 9, 10, 5, 6]),
+        7: (Strategy.PLUS, [0, 1, 5, 6, 7, 2, 3, 4]),
+    }[other]
+    trace = trace_to_json(decide_sat(ANIMAL_CNF, strategy), strategy)
     assert replay_trace(trace) == []
-    swap = {other: 10, 10: other}
-    nodes = trace["nodes"]
-    nodes[other], nodes[10] = nodes[10], nodes[other]
-    for e in trace["edges"]:
-        e["from"], e["to"] = swap.get(e["from"], e["from"]), swap.get(e["to"], e["to"])
-    trace["clash_nodes"] = [swap.get(i, i) for i in trace["clash_nodes"]]
-    assert replay_trace(trace) == [
-        "verdict sat but its last node, 10, is not complete and clash-free"
+    assert replay_trace(_reordered(trace, order)) == [
+        f"verdict sat but its last node, {other}, is not complete and clash-free"
     ]
 
 
@@ -587,13 +606,13 @@ def test_clash_dependency_set_is_the_least_of_the_members_clashes():
     assert _clash_deps(cs(cl(ex), cl(fa)), {cl(fa): 0b10}) == 0b10
 
 
-# --- trace format 2 -------------------------------------------------------------
+# --- trace format 3 -------------------------------------------------------------
 
 
-def _reachable_values(verdict) -> set:
-    """Every literal, clause and clause set under the tree's members."""
+def _reachable_values(root) -> set:
+    """``root`` and every literal, clause and clause set under it."""
     seen: set = set()
-    todo = [m for fam in verdict.tree.nodes for m in fam.members]
+    todo = [root]
     while todo:
         v = todo.pop()
         if v not in seen:
@@ -618,7 +637,7 @@ def _assert_round_trip(f, strategy) -> None:
         assert got.application.chosen_literal is e.application.chosen_literal
     values = trace["values"]
     assert len({json.dumps(entry) for entry in values}) == len(values)
-    assert len(values) == len(_reachable_values(verdict))
+    assert len(values) == len(_reachable_values(verdict.tree.nodes[0].members[0]))
 
 
 def test_trace_round_trip_on_modal_3cnf_and_the_successor_family():
@@ -632,33 +651,54 @@ def test_trace_round_trip_on_modal_3cnf_and_the_successor_family():
 
 
 #: sha256 of the sorted-key ``trace_to_json`` texts of each run, in
-#: order.  Each is the digest of the traces written while the search
-#: still had its A2-order option, with only their ``options`` key
-#: removed, so traces changed by that removal alone.  Complements decide
-#: clash checks and A1+, so a complement that differs anywhere in these
-#: runs moves a digest.
+#: order: format-3 traces, re-pinned once every trace of these runs
+#: and of the acceptance sets replayed and decoded to the searched
+#: verdict after a JSON round trip.  Complements decide clash checks
+#: and A1+, so a complement that differs anywhere in these runs moves
+#: the recorded tree, and with it a digest.
 PINNED_TRACE_DIGESTS = {
-    "search seed 1": "db31f038a7270147b658952f1683bdf25f690229b27218b3c5473339f557e241",
-    "search seed 2": "82dd06839695f629ab41d4923b221629f4fd4ce1434ed783a32ea84b25ce15d2",
-    "animal basic": "eb66cb1bd80514c756b4163d43d30c7cf859bc695cabe2bfe6220ec957eefa53",
-    "animal plus": "24b6ba890dcbc37020c2034f3013add1ec88a366eb287471a65c17c99b67ef94",
+    "search seed 1": "ef614df31b97941ee664212618d3096524607dc33dbdd90b545b2fbf11684a69",
+    "search seed 2": "bce2465422655490f36b4315294a4af46d2d8ef1963bdd93b96f793d2d701c48",
+    "animal basic": "c9fc139cc253cb813bbf077d1ca6cc53f0857675625016b2afe785a4eadf8109",
+    "animal plus": "f80a2a99bea7bbe3eb245ff8bbca3e6b9570e7f58b36e35d7e7a6d29d62f0e69",
 }
 
 
-def _trace_digest(runs) -> str:
-    digest = hashlib.sha256()
-    for strategy, verdict in runs:
-        digest.update(json.dumps(trace_to_json(verdict, strategy), sort_keys=True).encode())
-    return digest.hexdigest()
+#: sha256 of the ``trace_to_dot`` texts of the same runs, in order,
+#: taken while traces were still format 2 (each node's family written
+#: out, each edge's step too): decoding by re-deriving must render every
+#: node, clash mark and step as that decoding did.
+PINNED_DOT_DIGESTS = {
+    "search seed 1": "6c473b3da3ae830ca162b1559acb8b586b9763706fc821ef05ac72bc58e6b714",
+    "search seed 2": "213c71d8ee27e09d016e1d85dc0f4f743339749ac0a9e404a79c0847196ac508",
+    "animal basic": "b533d0a79992c0a8bc48268a3d8c6b79ebddc270eb8aaad95cb7a52e1ce9fd72",
+    "animal plus": "f0c2c3207c033f215b126a0709c111ad367ab2962ad388a69a4f7f8e6eb666b3",
+}
+
+
+def _digests(search_runs, text) -> dict[str, str]:
+    """sha256 of ``text(trace_to_json(verdict, strategy))`` over each
+    run of the ``search`` inputs of a seed, and of each animal golden."""
+    animal = to_cnf(parse_concept(ANIMAL_TEXT))
+    groups = {f"search seed {seed}": runs for seed, runs in search_runs.items()}
+    for strategy in Strategy:
+        groups[f"animal {strategy.value}"] = [(strategy, decide_sat(animal, strategy))]
+    digests = {}
+    for name, runs in groups.items():
+        digest = hashlib.sha256()
+        for strategy, verdict in runs:
+            digest.update(text(trace_to_json(verdict, strategy)).encode())
+        digests[name] = digest.hexdigest()
+    return digests
 
 
 def test_traces_of_the_search_inputs_and_the_animal_goldens_are_pinned(search_runs):
-    animal = to_cnf(parse_concept(ANIMAL_TEXT))
-    digests = {f"search seed {seed}": _trace_digest(runs) for seed, runs in search_runs.items()}
-    for strategy in Strategy:
-        runs = [(strategy, decide_sat(animal, strategy))]
-        digests[f"animal {strategy.value}"] = _trace_digest(runs)
+    digests = _digests(search_runs, lambda trace: json.dumps(trace, sort_keys=True))
     assert digests == PINNED_TRACE_DIGESTS
+
+
+def test_dot_texts_of_the_search_inputs_and_the_animal_goldens_are_pinned(search_runs):
+    assert _digests(search_runs, trace_to_dot) == PINNED_DOT_DIGESTS
 
 
 @settings(max_examples=60, deadline=None)
@@ -693,22 +733,14 @@ def _trace_of_two_refuted_picks() -> dict:
     verdict = decide_sat(to_cnf(parse_concept("(A | B) & !A & !B")), Strategy.PLUS)
     trace = trace_to_json(verdict, Strategy.PLUS)
     assert trace["verdict"] == "unsat" and trace["clash_nodes"] == [1, 2]
-    assert [(e["from"], e["to"]) for e in trace["edges"]] == [(0, 1), (0, 2)]
+    assert trace["nodes"] == [None, [0, 0], [0, 1]]
     assert replay_trace(trace) == []
     return trace
 
 
 def _drop_child(trace: dict, child: int) -> dict:
-    """``trace`` without node ``child`` (a clashed leaf) and its edge,
-    with the later nodes renumbered and the stats counting the rest."""
-    del trace["nodes"][child]
-    trace["edges"] = [e for e in trace["edges"] if e["to"] != child]
-    for e in trace["edges"]:
-        e["to"] -= e["to"] > child
-    trace["clash_nodes"] = [i - (i > child) for i in trace["clash_nodes"] if i != child]
-    trace["stats"]["nodes_expanded"] -= 1
-    trace["stats"]["clashes"] -= 1
-    return trace
+    """``trace`` without node ``child``, a clashed leaf."""
+    return _reordered(trace, [i for i in range(len(trace["nodes"])) if i != child])
 
 
 @pytest.mark.parametrize(
@@ -716,7 +748,7 @@ def _drop_child(trace: dict, child: int) -> dict:
     [
         lambda t: _drop_child(_drop_child(t, 2), 1),  # a lone unclashed root
         lambda t: _drop_child(t, 1),  # the root's one step is its plan's second
-        lambda t: {**t, "edges": t["edges"][::-1]},  # siblings out of plan order
+        lambda t: {**t, "nodes": [None, [0, 1], [0, 0]]},  # siblings out of plan order
     ],
     ids=["lone-root", "first-child-deleted", "siblings-swapped"],
 )
@@ -726,50 +758,49 @@ def test_replay_reports_steps_that_are_not_a_prefix_of_the_plan(tamper):
 
 
 def test_replay_checks_the_a2_target_clause():
+    # The A2 step's target is the one universal unit its plan offers, so
+    # the only choice there is 0; the step a choice of 1 would name does
+    # not exist, and neither does the node.
     verdict = decide_sat(ANIMAL_CNF, Strategy.BASIC)
     trace = trace_to_json(verdict, Strategy.BASIC)
-    edge = next(e for e in trace["edges"] if e["rule"] == "A2")
-    assert trace["values"][0] == ["pos", "Animal"]
-    # {Animal}, a unit of the same member without the universal.
-    edge["clause"] = trace["values"].index(["clause", [0]])
-    assert replay_trace(trace) == [
-        f"edge {edge['from']}->{edge['to']}: not a step the basic scheduler offers"
-    ]
+    child = next(e.child for e in verdict.tree.edges if e.application.rule == "A2")
+    parent = trace["nodes"][child][0]
+    assert trace["nodes"][child] == [parent, 0]
+    trace["nodes"][child][1] = 1
+    assert replay_trace(trace) == [f"edge {parent}->{child}: not a step the basic scheduler offers"]
+    with pytest.raises(TraceFormatError, match=f"edge {parent}->{child}: not a step"):
+        decode_trace(trace)
 
 
 def test_replay_reports_a_step_the_scheduler_does_not_take():
-    # A1+ on the second non-unit clause meets the rule's preconditions,
-    # but the scheduler branches on the first.  The nodes and the step
-    # below are re-encoded to match, so every edge re-applies exactly.
+    # (A | B) & (C | D): the root picks from (A | B), node 1 from
+    # (C | D), and node 2 is the complete witness.  An appended node
+    # whose choice names no alternative of its parent's plan, past the
+    # root's two-way pick or out of the witness, cannot be derived;
+    # replay stops there.
     f = to_cnf(parse_concept("(A | B) & (C | D)"))
-    first, second = f.clauses
-    verdict = decide_sat(f, Strategy.PLUS)
-    tree = verdict.tree
-    assert len(tree.nodes) == 3
-    tree.nodes[1] = Family((apply_a1_plus(f, second, second.literals[0]),))
-    steps = [(0, second, 1), (1, first, 2)]
-    tree.edges = [
-        TraceEdge(p, RuleApplication("A1+", 0, c, c.literals[0]), k)
-        for p, c, k in steps
-    ]
-    assert replay_trace(trace_to_json(verdict, Strategy.PLUS)) == [
-        "edge 0->1: not a step the plus scheduler offers"
-    ]
+    for node, problem in (
+        ([0, 2], "edge 0->3: not a step the plus scheduler offers"),
+        ([2, 0], "edge 2->3: not a step the plus scheduler offers"),
+    ):
+        trace = trace_to_json(decide_sat(f, Strategy.PLUS), Strategy.PLUS)
+        assert trace["nodes"] == [None, [0, 0], [1, 0]]
+        trace["nodes"].append(node)
+        trace["stats"]["nodes_expanded"] += 1
+        assert replay_trace(trace) == [problem]
+        with pytest.raises(TraceFormatError, match=problem):
+            trace_to_dot(trace)
 
 
 def test_replay_reports_an_edge_out_of_a_clash_node():
     # Node 1 holds the empty clause, and its plan still offers A1+ on
-    # (C | D); the appended child re-applies exactly and is clashed too.
+    # (C | D); the appended child re-derives and is clashed too.
     verdict = decide_sat(to_cnf(parse_concept("(A | B) & !A & (C | D)")), Strategy.PLUS)
-    tree = verdict.tree
-    assert tree.clash_nodes == [1]
-    step = _plan(tree.nodes[1], Strategy.PLUS)[0]
-    tree.nodes.append(_apply_planned(tree.nodes[1], step))
-    tree.edges.append(TraceEdge(1, RuleApplication(*step), 4))
-    tree.clash_nodes.append(4)
-    verdict.stats.nodes_expanded += 1
-    verdict.stats.clashes += 1
-    assert replay_trace(trace_to_json(verdict, Strategy.PLUS)) == [
-        "edge 1->4: leaves a clash node"
-    ]
+    trace = trace_to_json(verdict, Strategy.PLUS)
+    assert trace["clash_nodes"] == [1] and len(trace["nodes"]) == 4
+    trace["nodes"].append([1, 0])
+    trace["clash_nodes"].append(4)
+    trace["stats"]["nodes_expanded"] += 1
+    trace["stats"]["clashes"] += 1
+    assert replay_trace(trace) == ["edge 1->4: leaves a clash node"]
 

@@ -1,13 +1,18 @@
-"""The README's library example runs as written, and the README and the
-``cli`` docstring name only the options the parser has."""
+"""The README's library example runs as written, the README and the
+``cli`` docstring name only the options the parser has, and the
+README's trace example has the fields ``trace_to_json`` writes."""
 
 from __future__ import annotations
 
 import argparse
+import json
 import re
 from pathlib import Path
 
 from alcsat import cli
+from alcsat.engine import TRACE_FORMAT, Strategy, decide_sat, trace_to_json
+from alcsat.normal_form import to_cnf
+from alcsat.syntax import parse_concept
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -63,3 +68,12 @@ def test_cli_synopsis_and_readme_name_the_parser_options():
     block = re.search(r"```sh\n(.*?)```", readme, re.DOTALL).group(1)
     for command, flags in _flags_by_command(block.splitlines()).items():
         assert flags <= options[command], (command, flags - options[command])
+
+
+def test_readme_trace_example_has_the_fields_trace_to_json_writes():
+    section = README.read_text(encoding="utf-8").split("\n### Traces\n", 1)[1]
+    block = re.search(r"```json\n(.*?)```", section, re.DOTALL).group(1)
+    example = json.loads(block.replace(", ...", ""))  # elided entries
+    verdict = decide_sat(to_cnf(parse_concept("A | B")), Strategy.PLUS)
+    assert list(example) == list(trace_to_json(verdict, Strategy.PLUS))
+    assert example["format"] == TRACE_FORMAT

@@ -11,12 +11,14 @@ Subcommands::
 
 ``check`` prints SAT or UNSAT and exits 0 on SAT, 1 on UNSAT, 2 on input
 error (including quantifiers and parentheses nested deeper than
-``syntax.MAX_NESTING`` and a file that is not UTF-8), 3 when ``--oracle``
-disagrees with the engine, 4 when the node budget or the clause budget
-is exhausted, with one line on stderr (the clause budget: a disjunction
-distributing to more than ``normal_form.MAX_CLAUSES`` clauses, in the
-input or in a complement the search takes); ``cnf`` exits 4 on the
-clause budget too.  ``fuzz`` prints the differential report JSON (with
+``syntax.MAX_NESTING``, a file that is not UTF-8 and a ``--max-nodes``
+below 1), 3 when ``--oracle`` disagrees with the engine, 4 when the node
+budget or the clause budget is exhausted, with one line on stderr (the
+clause budget: a disjunction distributing to more than
+``normal_form.MAX_CLAUSES`` clauses, in the input or in a complement
+the search takes, which it takes for a quantified unit only when a unit
+of the dual quantifier and the same role is present); ``cnf`` exits 4
+on the clause budget too.  ``fuzz`` prints the differential report JSON (with
 ``plus_fewer_nodes``, the trials where plus expanded fewer nodes than
 basic) and exits 0 when it is clean and 5 on any disagreement.
 ``check --trace PATH.json`` writes a format-3 trace
@@ -86,6 +88,9 @@ def _read_concept_arg(arg: str):
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
+    if args.max_nodes < 1:
+        print("check requires --max-nodes >= 1", file=sys.stderr)
+        return EXIT_INPUT_ERROR
     try:
         concept = _read_concept_arg(args.expr)
     except _InputError as exc:

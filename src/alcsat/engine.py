@@ -36,6 +36,11 @@ A member is clashed when it contains the empty clause or two
 complementary unit clauses (names, or ``exists R.F`` against
 ``forall R.CNF(!F)``); any clashed member prunes the whole node.  An
 empty member (no clauses) is trivially satisfiable, never a clash.  The
+check pairs name units by name, and complements a quantified unit only
+when another quantified unit has the complement's kind and role
+(:func:`~alcsat.normal_form.complement_key`): a universal for an
+existential, an existential for a universal.  So a complement over the
+clause budget stops the search only where it could make a clash.  The
 search checks only the members a step changed (the rewritten member,
 and for A3 the appended one): the parent was clash-free, and every other
 member is the parent's own value.
@@ -123,6 +128,7 @@ from alcsat.normal_form import (
     ValueTable,
     clause_to_concept,
     complement,
+    complement_key,
     table_ref,
     values_from_json,
 )
@@ -293,7 +299,8 @@ def _clashes(f: ClauseSet) -> Iterator[tuple[Clause, ...]]:
     then each pair of complementary unit clauses.  Name units pair by
     name; a quantified unit pairs with a unit holding its complement,
     so ``exists R.F`` meets ``forall R.CNF(!F)`` (structurally), and a
-    pair complementary both ways comes twice."""
+    pair complementary both ways comes twice.  The complement is taken
+    only when some quantified unit has its kind and role."""
     positive: dict[str, Clause] = {}
     negative: dict[str, Clause] = {}
     quantified: dict[Literal, Clause] = {}
@@ -312,10 +319,13 @@ def _clashes(f: ClauseSet) -> Iterator[tuple[Clause, ...]]:
     if not positive.keys().isdisjoint(negative):
         for name in positive.keys() & negative.keys():
             yield positive[name], negative[name]
-    for lit, c in quantified.items():
-        other = quantified.get(complement(lit))
-        if other is not None:
-            yield c, other
+    if quantified:
+        present = {lit.key[:2] for lit in quantified}
+        for lit, c in quantified.items():
+            if complement_key(lit) in present:
+                other = quantified.get(complement(lit))
+                if other is not None:
+                    yield c, other
 
 
 def is_clash(f: ClauseSet) -> bool:
@@ -535,8 +545,11 @@ def decide_sat(
     Raises :class:`ResourceLimitError` once more than ``max_nodes``
     families have been materialized, and
     :class:`~alcsat.normal_form.ClauseBudgetError` when a complement it
-    takes would exceed the clause budget.
+    takes would exceed the clause budget.  Raises :class:`ValueError`
+    when ``max_nodes`` is below 1, a budget that cannot hold the root.
     """
+    if max_nodes < 1:
+        raise ValueError(f"max_nodes must be at least 1, not {max_nodes}")
     root = Family((f,))
     tree = DerivationTree(nodes=[root])
     depth_bound = f.depth

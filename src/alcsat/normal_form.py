@@ -33,8 +33,9 @@ through one intern table, so two structurally equal values are the same
 object, and equality and hash are both identity.  Each value stores its
 sort key and its quantifier depth, computed once at construction from
 its children's stored fields, so no later sort or depth query walks the
-nesting.  The table holds its values weakly: a value lives exactly
-as long as some caller refers to it, and the table is not a cache.
+nesting.  The table holds its values weakly, by one weak reference per
+value that carries the value's table key: a value lives exactly as long
+as some caller refers to it, and the table is not a cache.
 ``copy`` and ``pickle`` rebuild values through the constructors, so no
 un-interned value can exist.  Values are immutable; assigning an
 attribute raises.
@@ -53,9 +54,12 @@ before any is built, in the input or in a body :func:`complement`
 negates, unless ``top`` or ``bot`` absorbs it.  The conversions keep
 their own stacks, so deep nesting needs no call stack.
 
-Everything here is pure over immutable values and concurrently callable;
-a lock makes interning a new value atomic, and another a complement's
-insertion into the cache.
+Everything here is pure over immutable values and concurrently callable.
+A new value enters the intern table by one insert-if-absent, and a
+dead value's entry leaves it by one delete-if-dead, so a live entry is
+never replaced; a lock is taken only to replace an entry whose value
+has died before its callback ran.  Another lock makes a complement's
+insertion into the cache atomic.
 """
 
 from __future__ import annotations
@@ -63,7 +67,6 @@ from __future__ import annotations
 import threading
 import weakref
 from _weakref import _remove_dead_weakref
-from functools import partial
 from math import prod
 from operator import attrgetter
 from typing import Iterable, Iterator, Union
@@ -84,25 +87,32 @@ from alcsat.syntax import (
 #
 # ``_INTERN`` maps a value's structure, as its class and its (interned)
 # children, to a weak reference to the one live value with that
-# structure.  A constructor looks its structure up first and builds a
-# value only on a miss.  When a value dies, its reference's callback
-# deletes the entry if it still holds the dead reference, in one atomic
-# step, as ``weakref.WeakValueDictionary`` does; that class is not used
-# because it raises and catches ``KeyError`` on each miss and builds its
+# structure; the reference carries that structure as ``ident``.  A
+# constructor looks its structure up first and builds a value only on a
+# miss.  When a value dies, the one callback deletes its entry if it
+# still holds a dead reference, in one atomic step, as
+# ``weakref.WeakValueDictionary`` does; that class is not used because
+# it raises and catches ``KeyError`` on each miss and builds its
 # references in Python, which made each new value 2-3 us slower.
 
-_INTERN: dict[tuple, weakref.ref] = {}
-_INTERN_LOCK = threading.Lock()  # makes a miss's look-up-or-insert atomic
+_INTERN: dict[tuple, "_Ref"] = {}
+_INTERN_LOCK = threading.Lock()  # serialises the replacement of a dead entry
 _set = object.__setattr__
 _key = attrgetter("key")
 _depth = attrgetter("depth")
 
 
-def _forget(ident: tuple, ref: weakref.ref, table=_INTERN, remove=_remove_dead_weakref) -> None:
+class _Ref(weakref.ref):
+    """A reference of the intern table, keyed by its entry's ``ident``."""
+
+    __slots__ = ("ident",)
+
+
+def _forget(ref: _Ref, table=_INTERN, remove=_remove_dead_weakref) -> None:
     """Callback of the table's references.  What it uses is bound as
     defaults, so values that die while the interpreter shuts down, after
     module globals are cleared, still find it."""
-    remove(table, ident)
+    remove(table, ref.ident)
 
 
 class _Value:
@@ -140,11 +150,19 @@ def _build(cls, ident: tuple, key: tuple, depth: int, *values) -> _Value:
     _set(self, "depth", depth)
     for name, value in zip(cls._fields, values):
         _set(self, name, value)
-    with _INTERN_LOCK:
-        ref = _INTERN.get(ident)
-        if ref is not None and (other := ref()) is not None:
-            return other
-        _INTERN[ident] = weakref.ref(self, partial(_forget, ident))
+    ref = _Ref(self, _forget)
+    ref.ident = ident
+    # ``setdefault`` inserts only into a free entry, and ``_forget``
+    # deletes only a dead reference, so a live entry is never replaced.
+    # A dead one, whose callback has not run yet, is deleted here first.
+    other = _INTERN.setdefault(ident, ref)
+    while other is not ref:
+        value = other()
+        if value is not None:
+            return value
+        with _INTERN_LOCK:
+            _remove_dead_weakref(_INTERN, ident)
+            other = _INTERN.setdefault(ident, ref)
     return self
 
 
@@ -603,6 +621,17 @@ def complement(lit: Literal) -> Literal:
     if comp is None:
         comp = _complement_miss(lit)
     return comp
+
+
+def complement_key(lit: Literal) -> tuple:
+    """The kind and the name or role that ``complement(lit)`` has: the
+    first two fields of its key, ``lit``'s kind with its low bit flipped
+    (positive and negated name, existential and universal) and ``lit``'s
+    own name or role.  A literal without this pair in its key cannot be
+    ``lit``'s complement, so a clash check needs the complement only
+    where some literal has it; this needs no complement built."""
+    key = lit.key
+    return (key[0] ^ 1, key[1])
 
 
 def _cache_clear() -> None:

@@ -31,6 +31,13 @@ set is tested against stored snapshots on demand instead of enumerating
 the exponential family of subsets.  The empty clause set (the ``top``
 encoding) counts as labeled everywhere.
 
+Condition 1, the restricted condition 3 and the reduction closure use a
+unit's complement only to look it up among an individual's labeled
+literals.  So they take it only when some labeled literal there has the
+complement's kind and name or role
+(:func:`~alcsat.normal_form.complement_key`); a unit without one is
+complementary to no labeled literal, and its complement is not built.
+
 :func:`tableau_to_interpretation` reads off the finite model: the domain
 is the individual set, a name's extension is the set of individuals
 labeled with its positive unit, and role extensions are the edge sets.
@@ -59,6 +66,7 @@ from alcsat.normal_form import (
     clause_set_to_json,
     clause_to_json,
     complement,
+    complement_key,
 )
 from alcsat.syntax import (
     And,
@@ -162,6 +170,14 @@ def _holders(clauses) -> dict[Literal, list[Clause]]:
     return holders
 
 
+def _complements(units: list[Literal], holders: Mapping[Literal, list]) -> dict[Literal, Literal]:
+    """Each of ``units`` -> its complement, for those whose complement's
+    kind and name or role some literal of ``holders`` has.  The others
+    are complementary to no labeled literal, and get no entry."""
+    present = {lit.key[:2] for lit in holders}
+    return {lit: complement(lit) for lit in units if complement_key(lit) in present}
+
+
 def check_tableau(t: CnfTableau, f: ClauseSet, restricted: bool) -> list[Violation]:
     """All violations of the tableau conditions for ``f``; empty iff the
     tableau is well formed.
@@ -193,11 +209,11 @@ def check_tableau(t: CnfTableau, f: ClauseSet, restricted: bool) -> list[Violati
         clauses = t.clauses_at(s)
         units: list[Literal] = [c.literals[0] for c in clauses if c.is_unit]
         unit_set = set(units)
-        comps = {lit: complement(lit) for lit in units}
         holders = _holders(clauses)
+        comps = _complements(units, holders)
 
         for lit in units:
-            if comps[lit] in unit_set:
+            if comps.get(lit) in unit_set:
                 violations.append(Violation(1, (s,), _expr_str(Clause((lit,)))))
 
         for cs in t.clause_sets_at(s):
@@ -214,7 +230,7 @@ def check_tableau(t: CnfTableau, f: ClauseSet, restricted: bool) -> list[Violati
                     for lit in witnesses
                     if all(
                         t.has_clause(s, other.without(comps[lit]))
-                        for other in holders.get(comps[lit], ())
+                        for other in holders.get(comps.get(lit), ())
                     )
                 ]
             if not witnesses:
@@ -265,8 +281,7 @@ def _close_labels(clause_sets: set[ClauseSet], clauses: set[Clause]) -> None:
                         clauses.add(merged)
                         changed = True
         holders = _holders(clauses)
-        for lit in units:
-            comp = complement(lit)
+        for comp in _complements(units, holders).values():
             for cl in holders.get(comp, ()):
                 reduced = cl.without(comp)
                 if not reduced.is_empty and reduced not in clauses:

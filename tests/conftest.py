@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import random
 import shutil
 import sys
 import tempfile
 from functools import cache
 from math import prod
 from pathlib import Path
-from typing import Optional
+from typing import Iterator, Optional
 
 import hypothesis.strategies as st
 import pytest
@@ -17,6 +18,7 @@ from hypothesis.configuration import set_hypothesis_home_dir
 
 from alcsat.clause_model import Family, FamilyEdge
 from alcsat.engine import Strategy, Verdict, _apply_planned, _plan, decide_sat
+from alcsat.harness import STRUCTURED_WEIGHTS, GenConfig, gen_concept
 from alcsat.normal_form import (
     MAX_CLAUSES,
     Clause,
@@ -235,6 +237,40 @@ def complement_by_round_trip(lit: Literal) -> Literal:
     return dual(lit.role, to_cnf(Not(clause_set_to_concept(lit.body))))
 
 
+def clashes_by_full_scan(f: ClauseSet) -> Iterator[tuple[Clause, ...]]:
+    """``engine._clashes`` with every quantified unit complemented:
+    ``_clashes`` takes a complement only where a unit of its kind and
+    role is present, and must yield the same clashes in the same order."""
+    positive: dict[str, Clause] = {}
+    negative: dict[str, Clause] = {}
+    quantified: dict[Literal, Clause] = {}
+    for c in f.clauses:
+        lits = c.literals
+        if not lits:
+            yield (c,)
+        elif len(lits) == 1:
+            lit = lits[0]
+            if type(lit) is Pos:
+                positive[lit.name] = c
+            elif type(lit) is Neg:
+                negative[lit.name] = c
+            else:
+                quantified[lit] = c
+    if not positive.keys().isdisjoint(negative):
+        for name in positive.keys() & negative.keys():
+            yield positive[name], negative[name]
+    for lit, c in quantified.items():
+        other = quantified.get(complement(lit))
+        if other is not None:
+            yield c, other
+
+
+def complements_of_every_unit(units: list[Literal], holders) -> dict[Literal, Literal]:
+    """``tableau._complements`` without its filter: every unit's
+    complement, whether or not a labeled literal could equal it."""
+    return {lit: complement(lit) for lit in units}
+
+
 def _operands(c: Concept) -> list[Concept]:
     """The operands, left to right, of the chain of ``c``'s connective
     (``&`` or ``|``) rooted at ``c``."""
@@ -370,6 +406,24 @@ def search_runs() -> dict[int, list[tuple[Strategy, Verdict]]]:
         ]
         for seed in (1, 2)
     }
+
+
+@pytest.fixture(scope="session")
+def clash_corpus(search_runs) -> list[Verdict]:
+    """Decisions whose every member the clash and tableau checks are
+    compared with their references on: the ``search`` inputs of seeds 1
+    and 2, then 400 structured depth-5 concepts and three modal 3-CNF
+    instances at each L = 4..10, each under both strategies."""
+    verdicts = [verdict for runs in search_runs.values() for _, verdict in runs]
+    cfg = GenConfig(max_depth=5, connective_weights=STRUCTURED_WEIGHTS, seed=13)
+    rng = random.Random(cfg.seed)
+    concepts = [gen_concept(cfg, rng) for _ in range(400)]
+    rng = random.Random(13)
+    concepts += [parse_concept(modal_3cnf(rng, n)[0]) for n in range(4, 11) for _ in range(3)]
+    for c in concepts:
+        f = to_cnf(c)
+        verdicts += [decide_sat(f, strategy) for strategy in Strategy]
+    return verdicts
 
 
 # --- random modal 3-CNF --------------------------------------------------------

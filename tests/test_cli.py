@@ -118,14 +118,30 @@ def test_check_clause_budget_exits_4(capsys):
     pairs = " | ".join(f"(A{i} & B{i})" for i in range(22))
     assert main(["check", pairs]) == 4
     assert main(["cnf", pairs]) == 4
-    # The search complements the existential: 2^14 clauses.
+    # The clash check complements the existential, which has a universal
+    # partner of its role: 2^14 clauses.
     body = " & ".join(f"(A{i} | B{i})" for i in range(14))
-    assert main(["check", f"exists R.({body})"]) == 4
+    assert main(["check", f"exists R.({body}) & forall R.A"]) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 3
     assert all(line.startswith("resource limit: ") and "budget" in line for line in lines)
+
+
+def test_check_takes_no_complement_a_clash_cannot_use(capsys):
+    # A lone existential has no universal of its role to clash with, so
+    # its complement, 2^14 clauses and over the budget, is never taken.
+    body = " & ".join(f"(A{i} | B{i})" for i in range(14))
+    assert main(["check", f"exists R.({body})"]) == 0
+    assert capsys.readouterr() == ("SAT\n", "")
+
+
+def test_check_node_budget_below_one_is_an_input_error(capsys):
+    for budget in ("0", "-5"):
+        assert main(["check", "--max-nodes", budget, "A"]) == 2
+        err = capsys.readouterr().err
+        assert err == "check requires --max-nodes >= 1\n"
 
 
 def test_check_nesting_bound_is_an_input_error(capsys):
@@ -256,11 +272,11 @@ def test_trace_replay_rejects_tampered_trace(tmp_path, capsys):
 
 
 def test_trace_replay_clause_budget_exits_4(tmp_path, capsys):
-    # The clash check complements the existential: 2^14 clauses, over
-    # the budget.  The search would stop there too, so the one-node
-    # trace is written by hand.
+    # The clash check complements the existential, which has a universal
+    # partner of its role: 2^14 clauses, over the budget.  The search
+    # would stop there too, so the one-node trace is written by hand.
     body = " & ".join(f"(A{i} | B{i})" for i in range(14))
-    root = Family((to_cnf(parse_concept(f"exists R.({body})")),))
+    root = Family((to_cnf(parse_concept(f"exists R.({body}) & forall R.A")),))
     verdict = Verdict(True, 0, DerivationTree(nodes=[root]), DecisionStats(1, 0, 0, 0), Strategy.PLUS)
     trace_path = tmp_path / "t.json"
     trace_path.write_text(json.dumps(trace_to_json(verdict, Strategy.PLUS)))

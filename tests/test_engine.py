@@ -34,6 +34,7 @@ from alcsat.engine import (
     witness_path,
     _apply_planned,
     _clash_deps,
+    _clashes,
 )
 from alcsat.normal_form import (
     EMPTY_CLAUSE_SET,
@@ -65,6 +66,7 @@ from conftest import (
     NA,
     chronological_search,
     cl,
+    clashes_by_full_scan,
     concepts,
     cs,
     modal_3cnf,
@@ -248,6 +250,29 @@ def test_empty_member_is_not_a_clash():
     assert not is_clash(EMPTY_CLAUSE_SET)
 
 
+def test_quantified_near_misses_are_not_clashes():
+    ex = ExistsLit("R", cs(cl(A)))
+    for other in (
+        ForallLit("R", cs(cl(B))),  # the dual kind and role, another body
+        ForallLit("S", cs(cl(NA))),  # another role
+        ExistsLit("R", cs(cl(NA))),  # the same kind
+    ):
+        f = cs(cl(ex), cl(other))
+        assert not is_clash(f)
+        assert list(_clashes(f)) == list(clashes_by_full_scan(f)) == []
+
+
+def test_clash_scan_equals_the_full_scan_on_every_member(clash_corpus):
+    members = {m for verdict in clash_corpus for fam in verdict.tree.nodes for m in fam.members}
+    quantified_clashes = 0
+    for m in members:
+        clashes = list(_clashes(m))
+        assert clashes == list(clashes_by_full_scan(m))
+        quantified_clashes += sum(isinstance(c[0].literals[0], (ExistsLit, ForallLit))
+                                  for c in clashes if len(c) == 2)
+    assert len(members) > 3000 and quantified_clashes > 0
+
+
 def test_complete_on_final_animal_node():
     assert is_complete(ANIMAL_BASIC_NODES[10], Strategy.BASIC)
     assert is_complete(ANIMAL_PLUS_NODES[7], Strategy.PLUS)
@@ -356,6 +381,13 @@ def test_resource_limit_withholds_verdict():
     with pytest.raises(ResourceLimitError) as err:
         decide_sat(ANIMAL_CNF, Strategy.BASIC, max_nodes=3)
     assert len(err.value.tree.nodes) == 3
+
+
+def test_node_budget_below_one_is_refused():
+    for budget in (0, -5):
+        with pytest.raises(ValueError, match="max_nodes must be at least 1"):
+            decide_sat(ANIMAL_CNF, Strategy.PLUS, max_nodes=budget)
+    assert decide_sat(to_cnf(parse_concept("A")), Strategy.PLUS, max_nodes=1).satisfiable
 
 
 # --- search properties -------------------------------------------------------

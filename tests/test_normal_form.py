@@ -24,6 +24,7 @@ from alcsat.normal_form import (
     clause_set_to_concept,
     clause_set_to_json,
     complement,
+    complement_key,
     is_canonical_clause_set,
     literal_to_concept,
     to_cnf,
@@ -263,6 +264,14 @@ def test_complement_matches_round_trip_on_the_search_trees(search_runs):
     assert len(lits) > 2000
     for lit in sorted(lits, key=attrgetter("key")):
         assert complement(lit) == complement_by_round_trip(lit)
+
+
+def test_complement_key_is_the_complements_kind_and_name_or_role(clash_corpus):
+    members = {m for v in clash_corpus for n in v.tree.nodes for m in n.members}
+    lits = {lit for m in members for lit in _literals(m)}
+    assert {type(lit) for lit in lits} == {Pos, Neg, ExistsLit, ForallLit}
+    for lit in lits:
+        assert complement_key(lit) == complement(lit).key[:2]
 
 
 @settings(max_examples=100, deadline=None)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings
 
+from alcsat import tableau
 from alcsat.engine import RULE_A2, RULE_A2_PLUS, Strategy, decide_sat, witness_path
 from alcsat.normal_form import (
     Clause,
@@ -12,6 +13,8 @@ from alcsat.normal_form import (
     ForallLit,
     Neg,
     Pos,
+    clause_to_json,
+    complement,
     to_cnf,
 )
 from alcsat.syntax import And, Exists, Forall, Name, Not, Top, parse_concept
@@ -19,6 +22,7 @@ from alcsat.tableau import (
     CnfTableau,
     Interpretation,
     NotSatisfiableError,
+    Violation,
     check_tableau,
     eval_concept,
     extract_tableau,
@@ -31,6 +35,7 @@ from conftest import (
     EX_MERGED_WING,
     FA_NOT_WING,
     cl,
+    complements_of_every_unit,
     cs,
     small_concepts,
 )
@@ -129,6 +134,87 @@ def test_restricted_condition_3_is_strictly_stronger():
     # labeling the reduced clause repairs it
     t2 = _tableau({0: base | {cl(Pos("C"), Pos("D"))}})
     assert check_tableau(t2, f, restricted=True) == []
+
+
+# exists R.{{A}} and its complement, forall R.{{!A}}; a successor over R
+# labeled {{A}} satisfies the existential.
+EX_A = ExistsLit("R", cs(cl(Pos("A"))))
+FA_NOT_A = ForallLit("R", cs(cl(Neg("A"))))
+A_CHILD = {cs(cl(Pos("A"))), cl(Pos("A"))}
+NEAR_MISSES = (
+    ForallLit("R", cs(cl(Pos("B")))),  # the dual kind and role, another body
+    ForallLit("S", cs(cl(Neg("A")))),  # another role
+    ExistsLit("R", cs(cl(Neg("A")))),  # the same kind
+)
+
+
+def _checked(t, f, restricted, monkeypatch):
+    """``check_tableau``'s violations, which must equal those found with
+    every unit complemented."""
+    violations = check_tableau(t, f, restricted)
+    with monkeypatch.context() as m:
+        m.setattr(tableau, "_complements", complements_of_every_unit)
+        assert check_tableau(t, f, restricted) == violations
+    return violations
+
+
+def test_quantified_dual_pair_violates_condition_1(monkeypatch):
+    assert complement(EX_A) is FA_NOT_A and complement(FA_NOT_A) is EX_A
+    for other, clashing in [(FA_NOT_A, True)] + [(lit, False) for lit in NEAR_MISSES]:
+        f = cs(cl(EX_A), cl(other))
+        t = _tableau({0: {f, cl(EX_A), cl(other)}, 1: A_CHILD}, edges={"R": {(0, 1)}})
+        for restricted in (False, True):
+            violations = _checked(t, f, restricted, monkeypatch)
+            found = sorted(v.expr for v in violations if v.condition == 1)
+            expected = sorted(repr(clause_to_json(cl(x))) for x in (EX_A, other))
+            assert found == (expected if clashing else [])
+
+
+def test_quantified_dual_pair_in_restricted_condition_3(monkeypatch):
+    # {EX_A} is its own witness, but a labeled clause holds its
+    # complement: the restricted check wants that clause without it,
+    # {B, C}, labeled too.
+    for other, failing in [(FA_NOT_A, True)] + [(lit, False) for lit in NEAR_MISSES]:
+        holder = cl(other, Pos("B"), Pos("C"))
+        f = cs(cl(EX_A), holder, cl(Pos("B")))
+        labels = {f, cl(EX_A), holder, cl(Pos("B"))}
+        t = _tableau({0: labels, 1: A_CHILD}, edges={"R": {(0, 1)}})
+        assert _checked(t, f, False, monkeypatch) == []
+        expected = [Violation(3, (0,), repr(clause_to_json(cl(EX_A))))] if failing else []
+        assert _checked(t, f, True, monkeypatch) == expected
+        repaired = _tableau({0: labels | {cl(Pos("B"), Pos("C"))}, 1: A_CHILD}, edges={"R": {(0, 1)}})
+        assert _checked(repaired, f, True, monkeypatch) == []
+
+
+def test_tableau_checks_equal_complementing_every_unit(clash_corpus, monkeypatch):
+    # Each satisfiable run's tableau, and the same tableau with every
+    # individual's labels also put on the root, which clashes often.
+    satisfiable = [v for v in clash_corpus if v.satisfiable]
+
+    def run() -> list:
+        out = []
+        for verdict in satisfiable:
+            f = verdict.tree.nodes[0].members[0]
+            t = extract_tableau(verdict)
+            crowded = CnfTableau(
+                individuals=t.individuals,
+                labels={**t.labels, t.root: frozenset().union(*t.labels.values())},
+                role_edges=t.role_edges,
+                root=t.root,
+                subset_closed=t.subset_closed,
+            )
+            out.append((t.labels, [check_tableau(x, f, r) for x in (t, crowded) for r in (False, True)]))
+        return out
+
+    filtered = run()
+    with monkeypatch.context() as m:
+        m.setattr(tableau, "_complements", complements_of_every_unit)
+        assert run() == filtered
+    assert all(checks[0] == checks[1] == [] for _, checks in filtered)
+    crowded = [v for _, checks in filtered for r in (2, 3) for v in checks[r]]
+    assert any(v.condition == 1 for v in crowded)
+    restricted_3 = sum(v.condition == 3 for _, checks in filtered for v in checks[3])
+    assert restricted_3 > sum(v.condition == 3 for _, checks in filtered for v in checks[2])
 
 
 def test_raw_path_labels_need_the_merge_closure():

@@ -180,6 +180,55 @@ def test_interning_is_atomic_across_threads():
     assert not any("Thr" in repr(ref()) for ref in list(normal_form._INTERN.values()))
 
 
+def test_interning_replaces_dead_entries_across_threads():
+    # Each round's values die in a garbage cycle: a collection clears
+    # their references first and runs their callbacks after, one by one.
+    # The other threads re-create the values meanwhile, so they find
+    # entries that still hold a dead reference and must replace them.
+    names = [f"Rd{i}" for i in range(40)]
+    workers, rounds = 4, 60
+    current: list = [None] * workers
+    mismatches: list[int] = []
+    barrier = threading.Barrier(workers, timeout=30)
+
+    def work(slot: int) -> None:
+        for r in range(rounds):
+            current[slot] = [
+                ClauseSet([Clause([Pos(n), ExistsLit("R", ClauseSet([Clause([Neg(n)])]))])])
+                for n in names
+            ]
+            barrier.wait()
+            if slot == 0 and any(
+                current[s][i] is not current[0][i] for s in range(workers) for i in range(len(names))
+            ):
+                mismatches.append(r)
+            barrier.wait()
+            cycle = [current[slot]]
+            cycle.append(cycle)
+            current[slot] = None
+            del cycle
+            barrier.wait()
+            if slot == 0:
+                gc.collect()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(slot,)) for slot in range(workers)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert mismatches == []
+    gc.collect()
+    live = [ref() for ref in list(normal_form._INTERN.values())]
+    assert None not in live
+    assert not any("Rd" in repr(value) for value in live)
+
+
 def test_complement_cache_is_bounded_and_safe_across_threads():
     # 7,500 complements in all, nested names included: over the cache's
     # bound, so threads evict while others insert, and one empties it.

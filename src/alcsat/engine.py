@@ -83,8 +83,17 @@ by maximum quantifier nesting depth, and per stratum the triple
 (universal-literal occurrences, sum of clause sizes beyond one,
 existential-unit count) is summed.  Comparing strata deepest-first, every
 rule application strictly decreases the measure; :func:`decide_sat`
-asserts this at each step, computing each node's measure once and
-carrying it down as the parent measure of the next step.
+asserts this at each step.  It carries the measure down by delta: only
+the rewritten member changes, and the appended one for A3, so a child's
+measure is its parent's minus the rows of the clauses the step took
+out and plus those it put in; a member whose depth changed moves its
+whole row, and an appended member adds its whole row.
+:func:`family_measure` is the full recomputation.
+
+The search, decoding and replay apply a step with ``_apply_planned``,
+which checks no precondition again: ``_plan`` offered the step.  The
+public ``apply_*`` functions check theirs, then build the child the
+same way.
 
 Traces (format 3).  :func:`trace_to_json` writes a run as one JSON object:
 ``format`` (3), ``strategy``, ``verdict``, ``stats`` (the
@@ -112,7 +121,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from collections.abc import Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from types import MappingProxyType
 from typing import NamedTuple, Optional
 
@@ -237,17 +246,40 @@ def _check_a1_target(rule: str, f: ClauseSet, cl: Clause, lit: Literal) -> None:
         raise PreconditionError(f"{rule} targets clauses with at least two literals")
 
 
+def _rewritten(rule: str, f: ClauseSet, target: Clause, lit: Literal) -> ClauseSet:
+    """The member an A1, A1+, A2 or A2+ step on ``target`` and ``lit``
+    makes of ``f``, with no precondition checked.  An A1 member is ``f``
+    with the target replaced by the unit, spliced into its sorted
+    clauses; any other is its derivation, sorted."""
+    if rule == RULE_A1:
+        return f.replace(target, Clause((lit,)))
+    if rule == RULE_A1_PLUS:
+        derivation = _derive_a1(f, target, lit, True)
+    else:
+        derivation = _derive_a2(f, lit, target)
+    return ClauseSet([c for c, _ in derivation])
+
+
+def _peeled(fam: Family, i: int, ex_unit: Clause) -> Family:
+    """The family an A3 step peeling ``ex_unit`` off member ``i`` makes
+    of ``fam``, with no precondition checked."""
+    ex = ex_unit.literals[0]
+    return fam.replace_member(i, fam.members[i].without(ex_unit)).append_member(
+        i, ex.role, ex.body
+    )
+
+
 def apply_a1(f: ClauseSet, cl: Clause, lit: Literal) -> ClauseSet:
     """Collapse clause ``cl`` to the chosen literal."""
     _check_a1_target(RULE_A1, f, cl, lit)
-    return ClauseSet([c for c, _ in _derive_a1(f, cl, lit, False)])
+    return _rewritten(RULE_A1, f, cl, lit)
 
 
 def apply_a1_plus(f: ClauseSet, cl: Clause, lit: Literal) -> ClauseSet:
     """Collapse every clause containing the chosen literal and strip its
     complement everywhere (possibly leaving an empty clause)."""
     _check_a1_target(RULE_A1_PLUS, f, cl, lit)
-    return ClauseSet([c for c, _ in _derive_a1(f, cl, lit, True)])
+    return _rewritten(RULE_A1_PLUS, f, cl, lit)
 
 
 def apply_a2(f: ClauseSet, univ: Literal) -> ClauseSet:
@@ -258,7 +290,7 @@ def apply_a2(f: ClauseSet, univ: Literal) -> ClauseSet:
     premise = next((c for c in f.clauses if univ in c.literals), None)
     if premise is None:
         raise PreconditionError("universal literal does not occur")
-    return ClauseSet([c for c, _ in _derive_a2(f, univ, premise)])
+    return _rewritten(RULE_A2, f, premise, univ)
 
 
 def apply_a2_plus(f: ClauseSet, univ_unit: Clause) -> ClauseSet:
@@ -270,7 +302,7 @@ def apply_a2_plus(f: ClauseSet, univ_unit: Clause) -> ClauseSet:
     lit = univ_unit.literals[0]
     if not isinstance(lit, ForallLit):
         raise PreconditionError("A2+ consumes a universal unit")
-    return apply_a2(f, lit)
+    return _rewritten(RULE_A2_PLUS, f, univ_unit, lit)
 
 
 def apply_a3(fam: Family, i: int, ex_unit: Clause) -> Family:
@@ -283,12 +315,9 @@ def apply_a3(fam: Family, i: int, ex_unit: Clause) -> Family:
             raise UniversalPresentError("A3 requires no universal unit")
     if ex_unit not in f or not ex_unit.is_unit:
         raise PreconditionError("target is not a unit clause of the member")
-    lit = ex_unit.literals[0]
-    if not isinstance(lit, ExistsLit):
+    if not isinstance(ex_unit.literals[0], ExistsLit):
         raise PreconditionError("A3 peels an existential unit")
-    return fam.replace_member(i, f.without(ex_unit)).append_member(
-        i, lit.role, lit.body
-    )
+    return _peeled(fam, i, ex_unit)
 
 
 # --- Clash ---------------------------------------------------------------
@@ -410,26 +439,65 @@ class Verdict:
 # --- Termination measure --------------------------------------------------
 
 
+def _add_row(strata: list, k: int, clauses: Iterable[Clause], sign: int = 1) -> None:
+    """Add ``sign`` times the row of ``clauses`` to ``strata[k]``: the
+    componentwise sum of (universal occurrences, excess clause width,
+    existential units) over them."""
+    univ = width = ex = 0
+    for c in clauses:
+        lits = c.literals
+        for l in lits:
+            if isinstance(l, ForallLit):
+                univ += 1
+        if len(lits) >= 2:
+            width += len(lits) - 1
+        elif lits and isinstance(lits[0], ExistsLit):
+            ex += 1
+    u, w, e = strata[k]
+    strata[k] = (u + sign * univ, w + sign * width, e + sign * ex)
+
+
 def family_measure(fam: Family, depth_bound: int) -> tuple:
     """Lexicographic termination measure, strata by member depth
     (deepest first), each stratum a componentwise sum of
     (universal occurrences, excess clause width, existential units)."""
-    strata = [[0, 0, 0] for _ in range(depth_bound + 1)]
+    strata = [(0, 0, 0)] * (depth_bound + 1)
     for m in fam.members:
-        d = m.depth
-        if d > depth_bound:
+        if m.depth > depth_bound:
             raise ValueError("member exceeds the run's depth bound")
-        row = strata[d]
-        for c in m.clauses:
-            lits = c.literals
-            for l in lits:
-                if isinstance(l, ForallLit):
-                    row[0] += 1
-            if len(lits) >= 2:
-                row[1] += len(lits) - 1
-            elif lits and isinstance(lits[0], ExistsLit):
-                row[2] += 1
-    return tuple(tuple(strata[d]) for d in range(depth_bound, -1, -1))
+        _add_row(strata, depth_bound - m.depth, m.clauses)
+    return tuple(strata)
+
+
+def _measure_after(measure: tuple, depth_bound: int, fam: Family, child: Family, step: Step) -> tuple:
+    """``family_measure(child, depth_bound)``, the family ``step`` makes
+    of ``fam``, moved from ``measure``, ``fam``'s, by what the step
+    changes.  Its member's stratum loses the rows of the clauses the
+    step took out and gains those of the clauses it put in; a member
+    whose depth changed moves its whole row instead.  A3's new member
+    adds its whole row."""
+    rule, i, target, lit = step
+    old, new = fam.members[i], child.members[i]
+    strata = list(measure)
+    if old.depth != new.depth:
+        _add_row(strata, depth_bound - old.depth, old.clauses, -1)
+        _add_row(strata, depth_bound - new.depth, new.clauses)
+    else:
+        if rule == RULE_A1 or rule == RULE_A3:
+            # The target goes; A1's unit comes, unless the member held it
+            # (then the member has one clause fewer, as after A3).
+            removed: Iterable[Clause] = (target,)
+            added: Iterable[Clause] = (Clause((lit,)),) if len(new) == len(old) else ()
+        else:
+            removed = set(old.clauses).difference(new.clauses)
+            added = set(new.clauses).difference(old.clauses)
+        k = depth_bound - new.depth
+        _add_row(strata, k, removed, -1)
+        _add_row(strata, k, added)
+    if rule == RULE_A3:
+        appended = child.members[-1]
+        _add_row(strata, depth_bound - appended.depth, appended.clauses)
+    return tuple(strata)
 
 
 # --- Search ----------------------------------------------------------------
@@ -477,19 +545,14 @@ def is_complete(fam: Family, strategy: Strategy) -> bool:
 
 
 def _apply_planned(fam: Family, step: Step) -> Family:
-    """The family ``step`` makes of ``fam``."""
+    """The family ``step`` makes of ``fam``, where ``step`` is an
+    alternative of ``fam``'s plan: ``_plan`` has decided that it
+    applies, so unlike the public ``apply_*`` this checks no
+    precondition again, and builds the child as they do."""
     rule, member, target, lit = step
-    if rule == RULE_A1:
-        return fam.replace_member(member, apply_a1(fam.members[member], target, lit))
-    if rule == RULE_A1_PLUS:
-        return fam.replace_member(member, apply_a1_plus(fam.members[member], target, lit))
-    if rule == RULE_A2:
-        return fam.replace_member(member, apply_a2(fam.members[member], lit))
-    if rule == RULE_A2_PLUS:
-        return fam.replace_member(member, apply_a2_plus(fam.members[member], target))
     if rule == RULE_A3:
-        return apply_a3(fam, member, target)
-    raise ValueError(f"unknown rule {rule!r}")
+        return _peeled(fam, member, target)
+    return fam.replace_member(member, _rewritten(rule, fam.members[member], target, lit))
 
 
 # The dependency map of a member none of whose clauses depends on a pick.
@@ -635,7 +698,7 @@ def decide_sat(
             entry[6] = k + 1
             step = plan[k]
             child = _apply_planned(fam, step)
-            child_measure = family_measure(child, depth_bound)
+            child_measure = _measure_after(measure, depth_bound, fam, child, step)
             assert child_measure < measure, "termination measure failed to decrease"
             if len(tree.nodes) >= max_nodes:
                 raise ResourceLimitError(max_nodes, tree)

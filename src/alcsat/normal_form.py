@@ -26,7 +26,10 @@ Clauses and clause sets are canonical by construction: constructors
 deduplicate and order elements by a fixed structural total order
 (positive name < negated name < existential < universal; within a kind
 lexicographically by name/role, then recursively by body).  Structural
-equality on these values is therefore set equality.
+equality on these values is therefore set equality.  An edit that keeps
+a sorted tuple sorted, such as dropping elements or splicing one in at
+its ``bisect_left`` place (:meth:`ClauseSet.replace`), interns its
+result without sorting again.
 
 Values are hash-consed: every literal, clause and clause set is built
 through one intern table, so two structurally equal values are the same
@@ -66,6 +69,7 @@ from __future__ import annotations
 
 import threading
 import weakref
+from bisect import bisect_left
 from _weakref import _remove_dead_weakref
 from math import prod
 from operator import attrgetter
@@ -235,13 +239,20 @@ class _Collection(_Value):
     __slots__ = ()
 
     def __new__(cls, items: Iterable = ()):
-        items = _canonical(items)
-        ident = (cls, items)
-        ref = _INTERN.get(ident)
-        if ref is None or (self := ref()) is None:
-            key = tuple(map(_key, items))
-            self = _build(cls, ident, key, max(map(_depth, items), default=0), items)
-        return self
+        return _collection(cls, _canonical(items))
+
+
+def _collection(cls, items: tuple) -> _Collection:
+    """The ``cls`` value of ``items``, a tuple already in the structural
+    order and free of duplicates: the one way a collection is interned,
+    which the constructor enters once it has sorted, and an edit that
+    keeps a sorted tuple sorted enters directly."""
+    ident = (cls, items)
+    ref = _INTERN.get(ident)
+    if ref is None or (self := ref()) is None:
+        key = tuple(map(_key, items))
+        self = _build(cls, ident, key, max(map(_depth, items), default=0), items)
+    return self
 
 
 class Clause(_Collection):
@@ -268,7 +279,7 @@ class Clause(_Collection):
         return not self.literals
 
     def without(self, lit: Literal) -> "Clause":
-        return Clause(l for l in self.literals if l is not lit)
+        return _collection(Clause, tuple(l for l in self.literals if l is not lit))
 
 
 class ClauseSet(_Collection):
@@ -294,7 +305,24 @@ class ClauseSet(_Collection):
         return ClauseSet(self.clauses + other.clauses)
 
     def without(self, cl: Clause) -> "ClauseSet":
-        return ClauseSet(c for c in self.clauses if c is not cl)
+        return _collection(ClauseSet, tuple(c for c in self.clauses if c is not cl))
+
+    def replace(self, cl: Clause, new: Clause) -> "ClauseSet":
+        """This set with its clause ``cl`` replaced by ``new``, which is
+        spliced into the sorted clauses at its place (``bisect_left``
+        over the keys), or dropped when the set already holds it."""
+        clauses = self.clauses
+        if new is cl:
+            return self
+        i = clauses.index(cl)
+        j = bisect_left(self.key, new.key)
+        if j < len(clauses) and clauses[j] is new:
+            items = clauses[:i] + clauses[i + 1:]
+        elif j <= i:
+            items = clauses[:j] + (new,) + clauses[j:i] + clauses[i + 1:]
+        else:
+            items = clauses[:i] + clauses[i + 1:j] + (new,) + clauses[j:]
+        return _collection(ClauseSet, items)
 
     def issubset(self, other: "ClauseSet") -> bool:
         return all(cl in other for cl in self.clauses)

@@ -216,11 +216,10 @@ def check_tableau(t: CnfTableau, f: ClauseSet, restricted: bool) -> list[Violati
             if comps.get(lit) in unit_set:
                 violations.append(Violation(1, (s,), _expr_str(Clause((lit,)))))
 
+        label = t.labels.get(s, frozenset())
         for cs in t.clause_sets_at(s):
-            for cl in cs:
-                if not t.has_clause(s, cl):
-                    violations.append(Violation(2, (s,), _expr_str(cs)))
-                    break
+            if not label.issuperset(cs.clauses):
+                violations.append(Violation(2, (s,), _expr_str(cs)))
 
         for cl in clauses:
             witnesses = [lit for lit in cl if lit in unit_set]

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from alcsat import engine
 from alcsat.cli import main
 from alcsat.clause_model import Family
 from alcsat.engine import (
@@ -285,14 +286,18 @@ def test_trace_replay_clause_budget_exits_4(tmp_path, capsys):
     assert err.startswith("resource limit: ") and err.count("\n") == 1
 
 
-def test_trace_replay_of_a_deeply_nested_member_needs_no_call_stack(tmp_path, capsys):
+def test_trace_replay_of_a_deeply_nested_member_needs_no_call_stack(tmp_path, capsys, monkeypatch):
     # One node whose one member is exists R.(exists R.(... A)), 3,000
-    # deep: the clash check complements it.  The node is not complete,
-    # so the recorded SAT verdict does not replay.
+    # deep, and its partner forall R.B: the clash check complements the
+    # deep existential.  The node is not complete, so the recorded SAT
+    # verdict does not replay.
     values = [["pos", "A"], ["clause", [0]], ["clause_set", [1]]]
     for _ in range(3000):
         k = len(values)
         values += [["exists", "R", k - 1], ["clause", [k]], ["clause_set", [k + 1]]]
+    k = len(values)
+    values += [["pos", "B"], ["clause", [k]], ["clause_set", [k + 1]], ["forall", "R", k + 2]]
+    values += [["clause", [k + 3]], ["clause_set", [k - 2, k + 4]]]
     trace = {
         "format": 3,
         "strategy": "plus",
@@ -305,8 +310,12 @@ def test_trace_replay_of_a_deeply_nested_member_needs_no_call_stack(tmp_path, ca
     }
     trace_path = tmp_path / "t.json"
     trace_path.write_text(json.dumps(trace))
+    depths = []
+    complement = engine.complement
+    monkeypatch.setattr(engine, "complement", lambda lit: depths.append(lit.depth) or complement(lit))
     assert main(["trace-replay", str(trace_path)]) == 1
     assert capsys.readouterr().err == "verdict sat but no complete clash-free node recorded\n"
+    assert 3000 in depths
 
 
 def test_trace_replay_missing_file_exit_2(capsys):

@@ -11,6 +11,8 @@ from hypothesis import given, settings
 
 from alcsat.clause_model import Family
 from alcsat.engine import (
+    RULE_A1,
+    RULE_A3,
     NonUnitPresentError,
     NotAllUnitError,
     PreconditionError,
@@ -35,8 +37,11 @@ from alcsat.engine import (
     _apply_planned,
     _clash_deps,
     _clashes,
+    _measure_after,
 )
 from alcsat.normal_form import (
+    Clause,
+    ClauseSet,
     EMPTY_CLAUSE_SET,
     FALSE_CLAUSE_SET,
     ExistsLit,
@@ -441,6 +446,94 @@ def test_measure_strictly_decreases_along_every_edge(c):
             parent = verdict.tree.nodes[edge.parent]
             child = verdict.tree.nodes[edge.child]
             assert family_measure(child, bound) < family_measure(parent, bound)
+
+
+def _corpus(clash_corpus) -> list:
+    """The decisions of ``clash_corpus`` and of the animal goldens."""
+    animal = to_cnf(parse_concept(ANIMAL_TEXT))
+    return clash_corpus + [decide_sat(animal, strategy) for strategy in Strategy]
+
+
+def test_delta_measure_equals_the_full_measure_at_every_node(clash_corpus):
+    # Each node's measure carried down from the root step by step, as the
+    # search carries it, is the full recomputation.
+    depth_changes = 0
+    for verdict in _corpus(clash_corpus):
+        nodes = verdict.tree.nodes
+        bound = nodes[0].members[0].depth
+        measures = {0: family_measure(nodes[0], bound)}
+        for parent, app, child in verdict.tree.edges:
+            measure = _measure_after(measures[parent], bound, nodes[parent], nodes[child], app)
+            assert measure == family_measure(nodes[child], bound)
+            measures[child] = measure
+            i = app.member_index
+            depth_changes += nodes[parent].members[i].depth != nodes[child].members[i].depth
+        assert len(measures) == len(nodes)
+    assert depth_changes > 0
+
+
+def test_delta_measure_moves_a_member_whose_depth_changes():
+    # Picking A drops the member's only quantified literal: depth 1 -> 0.
+    c, r = Pos("C"), ExistsLit("R", cs(cl(B)))
+    fam = Family((cs(cl(A, r), cl(c)),))
+    step = (RULE_A1, 0, cl(A, r), A)
+    child = _apply_planned(fam, step)
+    assert child.members[0] is cs(cl(A), cl(c))
+    assert family_measure(child, 1) == ((0, 0, 0), (0, 0, 0))
+    assert _measure_after(family_measure(fam, 1), 1, fam, child, step) == ((0, 0, 0), (0, 0, 0))
+    # A3 peeling the only existential moves the member and adds the body.
+    fam = Family((cs(cl(A), cl(r)),))
+    step = (RULE_A3, 0, cl(r), None)
+    child = _apply_planned(fam, step)
+    assert _measure_after(family_measure(fam, 1), 1, fam, child, step) == family_measure(child, 1)
+
+
+def test_every_spliced_a1_child_is_the_sorted_construction(clash_corpus):
+    # An A1 child spliced from its sorted parent is the clause set built
+    # by sorting its clauses afresh, at every A1 edge of the corpus.
+    a1_edges = 0
+    for verdict in _corpus(clash_corpus):
+        nodes = verdict.tree.nodes
+        for parent, app, child in verdict.tree.edges:
+            if app.rule != RULE_A1:
+                continue
+            f = nodes[parent].members[app.member_index]
+            target, lit = app.target_clause, app.chosen_literal
+            sorted_child = ClauseSet([c for c in f.clauses if c is not target] + [Clause((lit,))])
+            assert nodes[child].members[app.member_index] is sorted_child
+            assert apply_a1(f, target, lit) is sorted_child
+            a1_edges += 1
+    assert a1_edges > 1000
+
+
+def test_public_rules_check_what_a_planned_step_does_not():
+    # _apply_planned builds these children unchecked; the public rules refuse.
+    ex, univ = cl(ExistsLit("R", cs(cl(A)))), cl(ForallLit("R", cs(cl(B))))
+    with pytest.raises(PreconditionError):
+        apply_a2_plus(cs(cl(A), univ), cl(A))  # not a universal unit
+    with pytest.raises(PreconditionError):
+        apply_a2_plus(cs(cl(A)), univ)  # not in the member
+    with pytest.raises(PreconditionError):
+        apply_a3(Family((cs(cl(A), ex),)), 0, cl(A))  # not an existential unit
+    with pytest.raises(PreconditionError):
+        apply_a3(Family((cs(cl(A)),)), 0, ex)  # not in the member
+    with pytest.raises(PreconditionError):
+        apply_a1_plus(cs(cl(A, B)), cl(A, B), NA)  # literal not in the target
+
+
+@pytest.mark.parametrize(
+    "f, target, lit",
+    [
+        (cs(cl(A), cl(A, B)), cl(A, B), A),  # the unit is in the member already
+        (cs(cl(A, B), cl(A, Pos("C"))), cl(A, Pos("C")), A),  # sorts first, past the target
+        (cs(cl(A, Pos("D")), cl(B)), cl(A, Pos("D")), Pos("D")),  # sorts last
+        (cs(cl(B, Pos("C"))), cl(B, Pos("C")), Pos("C")),  # the only clause
+    ],
+)
+def test_a1_splice_equals_the_sorted_construction(f, target, lit):
+    spliced = _apply_planned(Family((f,)), (RULE_A1, 0, target, lit)).members[0]
+    assert spliced is apply_a1(f, target, lit)
+    assert spliced is ClauseSet([c for c in f.clauses if c is not target] + [Clause((lit,))])
 
 
 @settings(max_examples=40, deadline=None)

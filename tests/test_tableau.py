@@ -84,6 +84,24 @@ def test_missing_clause_of_labeled_set_violates_condition_2():
     assert any(v.condition == 2 for v in violations)
 
 
+def test_each_stored_clause_set_missing_a_clause_is_one_condition_2_violation():
+    # Two stored sets each miss one labeled clause; the root's set misses none.
+    a, b, c, d = (cl(Pos(n)) for n in "ABCD")
+    root = cs(a, d)
+    t = _tableau({0: {cs(a, b), cs(a, c), root, a, d}})
+    violations = check_tableau(t, root, restricted=False)
+    assert sorted(v.expr for v in violations if v.condition == 2) == [
+        "[[{'pos': 'A'}], [{'pos': 'B'}]]",
+        "[[{'pos': 'A'}], [{'pos': 'C'}]]",
+    ]
+    assert all(v.individuals == (0,) for v in violations)
+    # A set missing two clauses is reported once.
+    t = _tableau({0: {root, a, d}, 1: {cs(b, c)}})
+    assert [v.expr for v in check_tableau(t, root, restricted=False) if v.condition == 2] == [
+        "[[{'pos': 'B'}], [{'pos': 'C'}]]"
+    ]
+
+
 def test_unwitnessed_clause_violates_condition_3():
     f = cs(cl(Pos("A"), Pos("B")))
     t = _tableau({0: {f, cl(Pos("A"), Pos("B"))}})

@@ -37,7 +37,7 @@ from alcsat.normal_form import (
     to_cnf,
     to_nnf,
 )
-from alcsat.clause_model import Family, FamilyEdge, family_get, rol, sub
+from alcsat.clause_model import Family, FamilyEdge
 from alcsat.engine import Strategy, Verdict, decide_sat
 from alcsat.oracle import oracle_equiv, oracle_sat
 from alcsat.tableau import (
@@ -82,15 +82,12 @@ __all__ = [
     "decide_sat",
     "eval_concept",
     "extract_tableau",
-    "family_get",
     "gen_concept",
     "oracle_equiv",
     "oracle_sat",
     "parse_concept",
     "render_concept",
-    "rol",
     "run_differential",
-    "sub",
     "tableau_to_interpretation",
     "to_cnf",
     "to_nnf",

@@ -119,7 +119,6 @@ derivation is not bounded by Python's recursion limit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from collections.abc import Iterable, Iterator, Mapping
 from types import MappingProxyType
@@ -141,7 +140,7 @@ from alcsat.normal_form import (
     table_ref,
     values_from_json,
 )
-from alcsat.syntax import render_concept
+from alcsat.syntax import _Record, render_concept
 
 
 class Strategy(Enum):
@@ -394,8 +393,7 @@ class TraceEdge(NamedTuple):
     child: int
 
 
-@dataclass(slots=True)
-class DerivationTree:
+class DerivationTree(_Record):
     """Every family node the search visited, including clashed dead ends,
     in depth-first visit order (the root is node 0).
 
@@ -404,30 +402,50 @@ class DerivationTree:
     subtrees cut out that backjumping proved to hold no complete
     clash-free family."""
 
-    nodes: list[Family] = field(default_factory=list)
-    edges: list[TraceEdge] = field(default_factory=list)
-    clash_nodes: list[int] = field(default_factory=list)
+    __slots__ = ("nodes", "edges", "clash_nodes")
+
+    def __init__(
+        self,
+        nodes: Optional[list[Family]] = None,
+        edges: Optional[list[TraceEdge]] = None,
+        clash_nodes: Optional[list[int]] = None,
+    ) -> None:
+        self.nodes = [] if nodes is None else nodes
+        self.edges = [] if edges is None else edges
+        self.clash_nodes = [] if clash_nodes is None else clash_nodes
 
 
-@dataclass(slots=True)
-class DecisionStats:
-    nodes_expanded: int
-    clashes: int
-    max_depth: int
-    backjumps: int  # choice points whose untried alternatives were skipped
+class DecisionStats(_Record):
+    # The trace writes these fields in this order.
+    __slots__ = ("nodes_expanded", "clashes", "max_depth", "backjumps")
+
+    def __init__(self, nodes_expanded: int, clashes: int, max_depth: int, backjumps: int) -> None:
+        self.nodes_expanded = nodes_expanded
+        self.clashes = clashes
+        self.max_depth = max_depth
+        self.backjumps = backjumps  # choice points whose untried alternatives were skipped
 
 
-@dataclass(slots=True)
-class Verdict:
+class Verdict(_Record):
     """A search's outcome and derivation, as :func:`decide_sat` returns it
     and :func:`decode_trace` reads it back.  A satisfiable verdict's
     witness is the tree's last node, where the search stopped."""
 
-    satisfiable: bool
-    witness: Optional[int]  # node index of the complete clash-free family
-    tree: DerivationTree
-    stats: DecisionStats
-    strategy: Strategy  # the rule system the search ran with
+    __slots__ = ("satisfiable", "witness", "tree", "stats", "strategy")
+
+    def __init__(
+        self,
+        satisfiable: bool,
+        witness: Optional[int],
+        tree: DerivationTree,
+        stats: DecisionStats,
+        strategy: Strategy,
+    ) -> None:
+        self.satisfiable = satisfiable
+        self.witness = witness  # node index of the complete clash-free family
+        self.tree = tree
+        self.stats = stats
+        self.strategy = strategy  # the rule system the search ran with
 
     @property
     def witness_family(self) -> Family:

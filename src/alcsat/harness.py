@@ -16,8 +16,6 @@ expanded-node statistics per strategy and lists every disagreement
 from __future__ import annotations
 
 import random
-import string
-from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Optional, Sequence
 
 from alcsat.engine import Strategy, Verdict, decide_sat
@@ -33,6 +31,9 @@ from alcsat.syntax import (
     Not,
     Or,
     Top,
+    _Frozen,
+    _Record,
+    _set,
     render_concept,
 )
 from alcsat.tableau import eval_concept, extract_tableau, tableau_to_interpretation
@@ -63,8 +64,7 @@ STRUCTURED_WEIGHTS: Mapping[str, float] = {
 }
 
 
-@dataclass(frozen=True)
-class GenConfig:
+class GenConfig(_Frozen):
     """Bounds and weights for random concept generation.
 
     ``max_depth`` counts nesting budget: at budget one only a name, a
@@ -72,26 +72,31 @@ class GenConfig:
     generator seeded with ``seed``, so runs are reproducible.
     """
 
-    max_depth: int = 3
-    num_names: int = 4
-    num_roles: int = 2
-    connective_weights: Mapping[str, float] = field(
-        default_factory=lambda: dict(DEFAULT_WEIGHTS)
-    )
-    seed: int = 0
+    __slots__ = ("max_depth", "num_names", "num_roles", "connective_weights", "seed")
 
-    def __post_init__(self) -> None:
-        if self.max_depth < 1:
+    def __init__(
+        self,
+        max_depth: int = 3,
+        num_names: int = 4,
+        num_roles: int = 2,
+        connective_weights: Optional[Mapping[str, float]] = None,
+        seed: int = 0,
+    ) -> None:
+        if max_depth < 1:
             raise ValueError("max_depth must be at least 1")
-        if self.num_names < 1:
+        if num_names < 1:
             raise ValueError("num_names must be at least 1")
-        weights = {**DEFAULT_WEIGHTS, **dict(self.connective_weights)}
+        weights = {**DEFAULT_WEIGHTS, **dict(connective_weights or {})}
         if all(w <= 0 for w in weights.values()):
             raise ValueError("connective weights must not all be zero")
-        object.__setattr__(self, "connective_weights", weights)
+        _set(self, "max_depth", max_depth)
+        _set(self, "num_names", num_names)
+        _set(self, "num_roles", num_roles)
+        _set(self, "connective_weights", weights)
+        _set(self, "seed", seed)
 
     def names(self) -> list[str]:
-        letters = string.ascii_uppercase
+        letters = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
         return [
             letters[i] if i < len(letters) else f"N{i}" for i in range(self.num_names)
         ]
@@ -215,24 +220,37 @@ def shrink_concept(c: Concept, fails) -> Concept:
     return current
 
 
-@dataclass(slots=True)
-class TrialResult:
-    index: int
-    concept: Concept
-    oracle: bool
-    basic: bool
-    plus: bool
-    basic_nodes: int
-    plus_nodes: int
+class TrialResult(_Record):
+    __slots__ = ("index", "concept", "oracle", "basic", "plus", "basic_nodes", "plus_nodes")
+
+    def __init__(
+        self,
+        index: int,
+        concept: Concept,
+        oracle: bool,
+        basic: bool,
+        plus: bool,
+        basic_nodes: int,
+        plus_nodes: int,
+    ) -> None:
+        self.index = index
+        self.concept = concept
+        self.oracle = oracle
+        self.basic = basic
+        self.plus = plus
+        self.basic_nodes = basic_nodes
+        self.plus_nodes = plus_nodes
 
 
-@dataclass(slots=True)
-class Disagreement:
-    kind: str  # "verdict" or "model"
-    trial: int
-    concept: str
-    detail: str
-    shrunk: str
+class Disagreement(_Record):
+    __slots__ = ("kind", "trial", "concept", "detail", "shrunk")
+
+    def __init__(self, kind: str, trial: int, concept: str, detail: str, shrunk: str) -> None:
+        self.kind = kind  # "verdict" or "model"
+        self.trial = trial
+        self.concept = concept
+        self.detail = detail
+        self.shrunk = shrunk
 
     def to_json(self) -> dict:
         return {
@@ -244,11 +262,13 @@ class Disagreement:
         }
 
 
-@dataclass(slots=True)
-class NodeStats:
-    count: int = 0
-    total: int = 0
-    max: int = 0
+class NodeStats(_Record):
+    __slots__ = ("count", "total", "max")
+
+    def __init__(self, count: int = 0, total: int = 0, max: int = 0) -> None:
+        self.count = count
+        self.total = total
+        self.max = max
 
     def add(self, nodes: int) -> None:
         self.count += 1
@@ -268,14 +288,24 @@ class NodeStats:
         }
 
 
-@dataclass(slots=True)
-class Report:
-    trials: int
-    seed: int
-    disagreements: list[Disagreement] = field(default_factory=list)
-    basic_nodes: NodeStats = field(default_factory=NodeStats)
-    plus_nodes: NodeStats = field(default_factory=NodeStats)
-    trial_log: list[TrialResult] = field(default_factory=list)
+class Report(_Record):
+    __slots__ = ("trials", "seed", "disagreements", "basic_nodes", "plus_nodes", "trial_log")
+
+    def __init__(
+        self,
+        trials: int,
+        seed: int,
+        disagreements: Optional[list[Disagreement]] = None,
+        basic_nodes: Optional[NodeStats] = None,
+        plus_nodes: Optional[NodeStats] = None,
+        trial_log: Optional[list[TrialResult]] = None,
+    ) -> None:
+        self.trials = trials
+        self.seed = seed
+        self.disagreements = [] if disagreements is None else disagreements
+        self.basic_nodes = NodeStats() if basic_nodes is None else basic_nodes
+        self.plus_nodes = NodeStats() if plus_nodes is None else plus_nodes
+        self.trial_log = [] if trial_log is None else trial_log
 
     @property
     def ok(self) -> bool:

@@ -14,8 +14,6 @@ runs at desk scale only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from alcsat.syntax import (
     And,
     Bottom,
@@ -26,6 +24,7 @@ from alcsat.syntax import (
     Not,
     Or,
     Top,
+    _Record,
 )
 from alcsat.tableau import Interpretation
 
@@ -66,12 +65,16 @@ def _nnf(c: Concept) -> Concept:
     return done.pop()
 
 
-@dataclass
-class _ModelNode:
+class _ModelNode(_Record):
     """One individual of an open branch: its positive atoms and children."""
 
-    atoms: frozenset[str]
-    children: list[tuple[str, "_ModelNode"]] = field(default_factory=list)
+    __slots__ = ("atoms", "children")
+
+    def __init__(
+        self, atoms: frozenset[str], children: list[tuple[str, _ModelNode]] | None = None
+    ) -> None:
+        self.atoms = atoms
+        self.children = [] if children is None else children
 
 
 def _expand(todo: list[Concept]) -> _ModelNode | None:

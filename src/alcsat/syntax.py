@@ -36,7 +36,6 @@ concurrently.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 _KEYWORDS = frozenset({"top", "bot", "forall", "exists"})
@@ -54,7 +53,51 @@ def _check_identifier(kind: str, value: str) -> None:
         raise ValueError(f"{kind} identifier collides with keyword: {value!r}")
 
 
-class Concept:
+_set = object.__setattr__
+
+
+class _Record:
+    """Base of the package's plain records.  A subclass lists its fields
+    in ``__slots__``, in constructor order, and writes its ``__init__``;
+    this gives it equality of same-class records field by field, a repr
+    ``Name(field=value, ...)``, and copy and pickle through the
+    constructor.  A record with ``==`` has no hash unless frozen."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self.__slots__])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class _Frozen(_Record):
+    """A record whose fields are set once, by ``__init__`` through
+    ``_set``, and hash by value."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
+
+
+class Concept(_Frozen):
     """Base class for ALC concept ASTs (finite immutable trees).
 
     Equality and hash are structural, and walk the tree in a loop, so a
@@ -92,57 +135,61 @@ def _flat(c: Concept) -> tuple:
     return tuple(out)
 
 
-@dataclass(frozen=True, slots=True, eq=False)
 class Name(Concept):
-    name: str
+    __slots__ = ("name",)
 
-    def __post_init__(self) -> None:
-        _check_identifier("concept", self.name)
+    def __init__(self, name: str) -> None:
+        _check_identifier("concept", name)
+        _set(self, "name", name)
 
 
-@dataclass(frozen=True, slots=True, eq=False)
 class Top(Concept):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True, eq=False)
 class Bottom(Concept):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True, eq=False)
 class Not(Concept):
-    body: Concept
+    __slots__ = ("body",)
+
+    def __init__(self, body: Concept) -> None:
+        _set(self, "body", body)
 
 
-@dataclass(frozen=True, slots=True, eq=False)
 class And(Concept):
-    left: Concept
-    right: Concept
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Concept, right: Concept) -> None:
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
-@dataclass(frozen=True, slots=True, eq=False)
 class Or(Concept):
-    left: Concept
-    right: Concept
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Concept, right: Concept) -> None:
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
-@dataclass(frozen=True, slots=True, eq=False)
 class Forall(Concept):
-    role: str
-    body: Concept
+    __slots__ = ("role", "body")
 
-    def __post_init__(self) -> None:
-        _check_identifier("role", self.role)
+    def __init__(self, role: str, body: Concept) -> None:
+        _check_identifier("role", role)
+        _set(self, "role", role)
+        _set(self, "body", body)
 
 
-@dataclass(frozen=True, slots=True, eq=False)
 class Exists(Concept):
-    role: str
-    body: Concept
+    __slots__ = ("role", "body")
 
-    def __post_init__(self) -> None:
-        _check_identifier("role", self.role)
+    def __init__(self, role: str, body: Concept) -> None:
+        _check_identifier("role", role)
+        _set(self, "role", role)
+        _set(self, "body", body)
 
 
 class ParseError(Exception):
@@ -168,7 +215,6 @@ _NOT_NAMES = _KEYWORDS | {"&", "|", "!", "(", ")", ".", ""}
 _OPENERS = frozenset({"!", "forall", "exists", "("})
 _PRIMARY = ("'!'", "'forall'", "'exists'", "'top'", "'bot'", "name", "'('")
 _new = object.__new__
-_set = object.__setattr__
 
 
 def _error(text: str, k: int, expected: tuple[str, ...], message: str = "") -> ParseError:

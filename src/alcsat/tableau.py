@@ -47,7 +47,6 @@ roles the model does not mention get the empty extension.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Union
 
 from alcsat.engine import (
@@ -78,6 +77,9 @@ from alcsat.syntax import (
     Not,
     Or,
     Top,
+    _Frozen,
+    _Record,
+    _set,
 )
 
 LabelExpr = Union[ClauseSet, Clause]
@@ -87,13 +89,20 @@ class NotSatisfiableError(ValueError):
     """Tableau extraction requires a satisfiable verdict."""
 
 
-@dataclass(slots=True)
-class Interpretation:
+class Interpretation(_Record):
     """A finite interpretation: domain, name extensions, role relations."""
 
-    domain: frozenset
-    name_ext: Mapping[str, frozenset]
-    role_ext: Mapping[str, frozenset]
+    __slots__ = ("domain", "name_ext", "role_ext")
+
+    def __init__(
+        self,
+        domain: frozenset,
+        name_ext: Mapping[str, frozenset],
+        role_ext: Mapping[str, frozenset],
+    ) -> None:
+        self.domain = domain
+        self.name_ext = name_ext
+        self.role_ext = role_ext
 
     def to_json(self) -> dict:
         return {
@@ -106,18 +115,27 @@ class Interpretation:
         }
 
 
-@dataclass(slots=True)
-class CnfTableau:
+class CnfTableau(_Record):
     """Individuals, labels, and role edges; ``root`` carries the checked
     clause set.  ``subset_closed`` marks labels whose clause-set part is
     closed under non-empty subsets of the stored snapshots (tested
     lazily)."""
 
-    individuals: frozenset[int]
-    labels: dict[int, frozenset]  # values are ClauseSet | Clause
-    role_edges: dict[str, frozenset]  # role -> frozenset[(int, int)]
-    root: int = 0
-    subset_closed: bool = False
+    __slots__ = ("individuals", "labels", "role_edges", "root", "subset_closed")
+
+    def __init__(
+        self,
+        individuals: frozenset[int],
+        labels: dict[int, frozenset],  # values are ClauseSet | Clause
+        role_edges: dict[str, frozenset],  # role -> frozenset[(int, int)]
+        root: int = 0,
+        subset_closed: bool = False,
+    ) -> None:
+        self.individuals = individuals
+        self.labels = labels
+        self.role_edges = role_edges
+        self.root = root
+        self.subset_closed = subset_closed
 
     def clause_sets_at(self, s: int) -> list[ClauseSet]:
         return [x for x in self.labels.get(s, frozenset()) if isinstance(x, ClauseSet)]
@@ -141,11 +159,13 @@ class CnfTableau:
         return cl in self.labels.get(s, frozenset())
 
 
-@dataclass(frozen=True, slots=True)
-class Violation:
-    condition: int
-    individuals: tuple[int, ...]
-    expr: str
+class Violation(_Frozen):
+    __slots__ = ("condition", "individuals", "expr")
+
+    def __init__(self, condition: int, individuals: tuple[int, ...], expr: str) -> None:
+        _set(self, "condition", condition)
+        _set(self, "individuals", individuals)
+        _set(self, "expr", expr)
 
     def to_json(self) -> dict:
         return {

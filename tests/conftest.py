@@ -7,9 +7,10 @@ import shutil
 import sys
 import tempfile
 from functools import cache
+from itertools import combinations
 from math import prod
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional, Union
 
 import hypothesis.strategies as st
 import pytest
@@ -20,6 +21,7 @@ from alcsat.clause_model import Family, FamilyEdge
 from alcsat.engine import Strategy, Verdict, _apply_planned, _plan, decide_sat
 from alcsat.harness import STRUCTURED_WEIGHTS, GenConfig, gen_concept
 from alcsat.normal_form import (
+    EMPTY_CLAUSE_SET,
     MAX_CLAUSES,
     Clause,
     ClauseBudgetError,
@@ -235,6 +237,77 @@ def complement_by_round_trip(lit: Literal) -> Literal:
         return Pos(lit.name)
     dual = ForallLit if isinstance(lit, ExistsLit) else ExistsLit
     return dual(lit.role, to_cnf(Not(clause_set_to_concept(lit.body))))
+
+
+class EmptyClauseSetError(ValueError):
+    """The subexpression closure is defined only for non-empty clause sets."""
+
+
+SubElement = Union[ClauseSet, Clause]
+
+
+def family_get(fam: Family, i: int) -> ClauseSet:
+    """Member clause set at ``i``, or the empty marker past the end."""
+    if 0 <= i < len(fam.members):
+        return fam.members[i]
+    return EMPTY_CLAUSE_SET
+
+
+def rol(f: ClauseSet) -> frozenset[str]:
+    """All role names occurring at any nesting depth in ``f``."""
+    roles: set[str] = set()
+
+    def walk(cs: ClauseSet) -> None:
+        for cl in cs:
+            for lit in cl:
+                if isinstance(lit, (ExistsLit, ForallLit)):
+                    roles.add(lit.role)
+                    walk(lit.body)
+
+    walk(f)
+    return frozenset(roles)
+
+
+def _nonempty_subclauses(cl: Clause) -> Iterable[Clause]:
+    lits = cl.literals
+    for size in range(1, len(lits) + 1):
+        for combo in combinations(lits, size):
+            yield Clause(combo)
+
+
+def sub(f: ClauseSet) -> frozenset[SubElement]:
+    """The paper's subexpression closure of a non-empty clause set, as
+    the least fixed point of its five rules: the clause set itself, the
+    clauses of any member clause set, every non-empty subclause of a
+    member clause, ``{A}`` for any ``{!A}``, and the bodies of
+    quantified unit clauses.  Subclauses are the full ``2^|CL| - 1``
+    powerset walk, fine at the scale of tests.
+
+    Raises :class:`EmptyClauseSetError` on the empty clause set, for
+    which the closure is not defined.
+    """
+    if f.is_empty:
+        raise EmptyClauseSetError("sub() requires a non-empty clause set")
+    result: set[SubElement] = set()
+    work: list[SubElement] = [f]
+    while work:
+        item = work.pop()
+        if item in result:
+            continue
+        result.add(item)
+        if isinstance(item, ClauseSet):
+            work.extend(item.clauses)
+        else:
+            for sub_cl in _nonempty_subclauses(item):
+                if sub_cl not in result:
+                    work.append(sub_cl)
+            if item.is_unit:
+                lit = item.literals[0]
+                if isinstance(lit, Neg):
+                    work.append(Clause((Pos(lit.name),)))
+                elif isinstance(lit, (ExistsLit, ForallLit)) and not lit.body.is_empty:
+                    work.append(lit.body)
+    return frozenset(result)
 
 
 def clashes_by_full_scan(f: ClauseSet) -> Iterator[tuple[Clause, ...]]:

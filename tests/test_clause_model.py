@@ -1,18 +1,12 @@
-"""Families, role collection, and the subexpression closure."""
+"""Families, and the reference role collection and subexpression
+closure kept in ``conftest``."""
 
 from __future__ import annotations
 
 import pytest
 from hypothesis import given, settings
 
-from alcsat.clause_model import (
-    EmptyClauseSetError,
-    Family,
-    FamilyEdge,
-    family_get,
-    rol,
-    sub,
-)
+from alcsat.clause_model import Family, FamilyEdge
 from alcsat.engine import Strategy, decide_sat
 from alcsat.normal_form import (
     Clause,
@@ -27,9 +21,13 @@ from alcsat.normal_form import (
 from conftest import (
     ANIMAL_BASIC_NODES,
     EX_MERGED_LEG,
+    EmptyClauseSetError,
     cl,
     cs,
+    family_get,
+    rol,
     small_concepts,
+    sub,
 )
 
 

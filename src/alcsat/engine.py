@@ -26,11 +26,13 @@ target order is fixed too: peeling commutes, each existential spawns an
 independent child.
 
 A family is complete when no rule applies to any member.  ``_plan``,
-the scheduler above, is the only code that decides applicability, so
-:func:`is_complete` is ``_plan`` finding no step, and
+the scheduler above, is the only code that decides applicability: a
+family is complete exactly when it offers no step, and
 :func:`replay_trace` accepts a recorded step only when it is one of the
-alternatives ``_plan`` offers at its parent.  A2+ and A3 apply only to
-an all-unit member; a member holding the empty clause is not one.
+alternatives ``_plan`` offers at its parent.  ``_apply_planned`` is the
+only code that builds a child, for the search, decoding and replay
+alike, and checks nothing ``_plan`` has decided.  A2+ and A3 apply only
+to an all-unit member; a member holding the empty clause is not one.
 
 A member is clashed when it contains the empty clause or two
 complementary unit clauses (names, or ``exists R.F`` against
@@ -90,11 +92,6 @@ out and plus those it put in; a member whose depth changed moves its
 whole row, and an appended member adds its whole row.
 :func:`family_measure` is the full recomputation.
 
-The search, decoding and replay apply a step with ``_apply_planned``,
-which checks no precondition again: ``_plan`` offered the step.  The
-public ``apply_*`` functions check theirs, then build the child the
-same way.
-
 Traces (format 3).  :func:`trace_to_json` writes a run as one JSON object:
 ``format`` (3), ``strategy``, ``verdict``, ``stats`` (the
 :class:`DecisionStats` fields), ``values``, ``root``, ``nodes`` and
@@ -153,22 +150,6 @@ RULE_A1_PLUS = "A1+"
 RULE_A2 = "A2"
 RULE_A2_PLUS = "A2+"
 RULE_A3 = "A3"
-
-
-class PreconditionError(ValueError):
-    """A rule was applied outside its precondition."""
-
-
-class NotAllUnitError(PreconditionError):
-    """A2+/A3 require every clause of the member to be a unit."""
-
-
-class UniversalPresentError(PreconditionError):
-    """A3 requires the member to hold no universal unit."""
-
-
-class NonUnitPresentError(NotAllUnitError):
-    """A3 hit a clause that is not a unit."""
 
 
 class TraceFormatError(ValueError):
@@ -236,87 +217,33 @@ def _derive_a2(f: ClauseSet, univ: ForallLit, premise: Clause) -> Derivation:
             yield merged, (() if merged is c else (c, premise))
 
 
-def _check_a1_target(rule: str, f: ClauseSet, cl: Clause, lit: Literal) -> None:
-    if cl not in f:
-        raise PreconditionError("target clause not in clause set")
-    if lit not in cl:
-        raise PreconditionError("chosen literal not in target clause")
-    if len(cl) < 2:
-        raise PreconditionError(f"{rule} targets clauses with at least two literals")
+Step = tuple[str, int, Clause, Optional[Literal]]  # a step's RuleApplication fields
 
 
-def _rewritten(rule: str, f: ClauseSet, target: Clause, lit: Literal) -> ClauseSet:
-    """The member an A1, A1+, A2 or A2+ step on ``target`` and ``lit``
-    makes of ``f``, with no precondition checked.  An A1 member is ``f``
-    with the target replaced by the unit, spliced into its sorted
-    clauses; any other is its derivation, sorted."""
-    if rule == RULE_A1:
-        return f.replace(target, Clause((lit,)))
-    if rule == RULE_A1_PLUS:
-        derivation = _derive_a1(f, target, lit, True)
-    else:
-        derivation = _derive_a2(f, lit, target)
-    return ClauseSet([c for c, _ in derivation])
+def _derivation(f: ClauseSet, step: Step) -> Derivation:
+    """The derivation of an A1, A1+, A2 or A2+ ``step`` on its member
+    ``f``."""
+    rule, _, target, lit = step
+    if rule == RULE_A1 or rule == RULE_A1_PLUS:
+        return _derive_a1(f, target, lit, rule == RULE_A1_PLUS)
+    return _derive_a2(f, lit, target)
 
 
-def _peeled(fam: Family, i: int, ex_unit: Clause) -> Family:
-    """The family an A3 step peeling ``ex_unit`` off member ``i`` makes
-    of ``fam``, with no precondition checked."""
-    ex = ex_unit.literals[0]
-    return fam.replace_member(i, fam.members[i].without(ex_unit)).append_member(
-        i, ex.role, ex.body
-    )
-
-
-def apply_a1(f: ClauseSet, cl: Clause, lit: Literal) -> ClauseSet:
-    """Collapse clause ``cl`` to the chosen literal."""
-    _check_a1_target(RULE_A1, f, cl, lit)
-    return _rewritten(RULE_A1, f, cl, lit)
-
-
-def apply_a1_plus(f: ClauseSet, cl: Clause, lit: Literal) -> ClauseSet:
-    """Collapse every clause containing the chosen literal and strip its
-    complement everywhere (possibly leaving an empty clause)."""
-    _check_a1_target(RULE_A1_PLUS, f, cl, lit)
-    return _rewritten(RULE_A1_PLUS, f, cl, lit)
-
-
-def apply_a2(f: ClauseSet, univ: Literal) -> ClauseSet:
-    """Consume a universal literal: drop clauses holding it, merge its
-    body into every same-role existential literal."""
-    if not isinstance(univ, ForallLit):
-        raise PreconditionError("A2 consumes a universal literal")
-    premise = next((c for c in f.clauses if univ in c.literals), None)
-    if premise is None:
-        raise PreconditionError("universal literal does not occur")
-    return _rewritten(RULE_A2, f, premise, univ)
-
-
-def apply_a2_plus(f: ClauseSet, univ_unit: Clause) -> ClauseSet:
-    """A2 gated on an all-unit member; derives the same clauses as A2."""
-    if any(len(c) != 1 for c in f):
-        raise NotAllUnitError("A2+ requires every clause to be a unit")
-    if univ_unit not in f or not univ_unit.is_unit:
-        raise PreconditionError("target is not a unit clause of the member")
-    lit = univ_unit.literals[0]
-    if not isinstance(lit, ForallLit):
-        raise PreconditionError("A2+ consumes a universal unit")
-    return _rewritten(RULE_A2_PLUS, f, univ_unit, lit)
-
-
-def apply_a3(fam: Family, i: int, ex_unit: Clause) -> Family:
-    """Peel an existential unit off member ``i`` into a new member."""
+def _apply_planned(fam: Family, step: Step) -> Family:
+    """The family ``step`` makes of ``fam``, where ``step`` is an
+    alternative of ``fam``'s plan: ``_plan`` has decided that it
+    applies, so this checks nothing.  An A1 member is the member with
+    the target replaced by the unit, spliced into its sorted clauses; an
+    A1+, A2 or A2+ member is its derivation, sorted.  A3 peels the
+    target's existential off into a new member."""
+    rule, i, target, lit = step
     f = fam.members[i]
-    for c in f:
-        if len(c) != 1:
-            raise NonUnitPresentError("A3 requires every clause to be a unit")
-        if isinstance(c.literals[0], ForallLit):
-            raise UniversalPresentError("A3 requires no universal unit")
-    if ex_unit not in f or not ex_unit.is_unit:
-        raise PreconditionError("target is not a unit clause of the member")
-    if not isinstance(ex_unit.literals[0], ExistsLit):
-        raise PreconditionError("A3 peels an existential unit")
-    return _peeled(fam, i, ex_unit)
+    if rule == RULE_A3:
+        ex = target.literals[0]
+        return fam.replace_member(i, f.without(target)).append_member(i, ex.role, ex.body)
+    if rule == RULE_A1:
+        return fam.replace_member(i, f.replace(target, Clause((lit,))))
+    return fam.replace_member(i, ClauseSet([c for c, _ in _derivation(f, step)]))
 
 
 # --- Clash ---------------------------------------------------------------
@@ -521,9 +448,6 @@ def _measure_after(measure: tuple, depth_bound: int, fam: Family, child: Family,
 # --- Search ----------------------------------------------------------------
 
 
-Step = tuple[str, int, Clause, Optional[Literal]]  # a step's RuleApplication fields
-
-
 def _plan(fam: Family, strategy: Strategy) -> Optional[list[Step]]:
     """Alternatives for the next step, or None when no rule applies.
 
@@ -557,22 +481,6 @@ def _plan(fam: Family, strategy: Strategy) -> Optional[list[Step]]:
     return None
 
 
-def is_complete(fam: Family, strategy: Strategy) -> bool:
-    """True iff no rule of the strategy's system applies to any member."""
-    return _plan(fam, strategy) is None
-
-
-def _apply_planned(fam: Family, step: Step) -> Family:
-    """The family ``step`` makes of ``fam``, where ``step`` is an
-    alternative of ``fam``'s plan: ``_plan`` has decided that it
-    applies, so unlike the public ``apply_*`` this checks no
-    precondition again, and builds the child as they do."""
-    rule, member, target, lit = step
-    if rule == RULE_A3:
-        return _peeled(fam, member, target)
-    return fam.replace_member(member, _rewritten(rule, fam.members[member], target, lit))
-
-
 # The dependency map of a member none of whose clauses depends on a pick.
 _NO_DEPS: Mapping[Clause, int] = MappingProxyType({})
 
@@ -586,7 +494,7 @@ def _child_deps(fam: Family, deps: tuple, step: Step, pick: int) -> tuple:
     derivation, when several clauses yield it); a clause the member
     already holds keeps its own.  Only a map that gains entries is
     copied."""
-    rule, member, target, lit = step
+    rule, member, target, _ = step
     old = deps[member]
     if rule == RULE_A3:
         peeled = old.get(target, 0)
@@ -595,12 +503,8 @@ def _child_deps(fam: Family, deps: tuple, step: Step, pick: int) -> tuple:
     if not (pick or old):
         return deps  # a forced step among empty sets adds none
     f = fam.members[member]
-    if rule == RULE_A1 or rule == RULE_A1_PLUS:
-        derivation = _derive_a1(f, target, lit, rule == RULE_A1_PLUS)
-    else:
-        derivation = _derive_a2(f, lit, target)
     fresh: dict[Clause, int] = {}
-    for c, sources in derivation:
+    for c, sources in _derivation(f, step):
         if sources and c not in fresh and c not in f:
             fresh[c] = pick
             for s in sources:

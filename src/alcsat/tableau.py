@@ -47,7 +47,7 @@ roles the model does not mention get the empty extension.
 
 from __future__ import annotations
 
-from typing import Mapping, Union
+from typing import Iterator, Mapping, Union
 
 from alcsat.engine import (
     RULE_A2,
@@ -198,6 +198,16 @@ def _complements(units: list[Literal], holders: Mapping[Literal, list]) -> dict[
     return {lit: complement(lit) for lit in units if complement_key(lit) in present}
 
 
+def _merged_units(units: list[Literal]) -> Iterator[Clause]:
+    """The merged existential unit of each universal and same-role
+    existential of ``units``, universal by universal in their order."""
+    for ulit in units:
+        if isinstance(ulit, ForallLit):
+            for elit in units:
+                if isinstance(elit, ExistsLit) and elit.role == ulit.role:
+                    yield Clause((ExistsLit(ulit.role, ulit.body.union(elit.body)),))
+
+
 def check_tableau(t: CnfTableau, f: ClauseSet, restricted: bool) -> list[Violation]:
     """All violations of the tableau conditions for ``f``; empty iff the
     tableau is well formed.
@@ -271,34 +281,22 @@ def check_tableau(t: CnfTableau, f: ClauseSet, restricted: bool) -> list[Violati
                 if not any(t.has_clause_set(dst, lit.body) for dst in succs):
                     violations.append(Violation(5, (s,), _expr_str(Clause((lit,)))))
 
-        for ulit in units:
-            if not isinstance(ulit, ForallLit):
-                continue
-            for elit in units:
-                if isinstance(elit, ExistsLit) and elit.role == ulit.role:
-                    merged = Clause((ExistsLit(ulit.role, ulit.body.union(elit.body)),))
-                    if not t.has_clause(s, merged):
-                        violations.append(
-                            Violation(6, (s,), _expr_str(merged))
-                        )
+        for merged in _merged_units(units):
+            if not t.has_clause(s, merged):
+                violations.append(Violation(6, (s,), _expr_str(merged)))
     return violations
 
 
-def _close_labels(clause_sets: set[ClauseSet], clauses: set[Clause]) -> None:
+def _close_labels(clauses: set[Clause]) -> None:
     """Merge and reduction closure to a fixed point (mutates ``clauses``)."""
     changed = True
     while changed:
         changed = False
         units = [c.literals[0] for c in clauses if c.is_unit]
-        for ulit in units:
-            if not isinstance(ulit, ForallLit):
-                continue
-            for elit in units:
-                if isinstance(elit, ExistsLit) and elit.role == ulit.role:
-                    merged = Clause((ExistsLit(ulit.role, ulit.body.union(elit.body)),))
-                    if merged not in clauses:
-                        clauses.add(merged)
-                        changed = True
+        for merged in _merged_units(units):
+            if merged not in clauses:
+                clauses.add(merged)
+                changed = True
         holders = _holders(clauses)
         for comp in _complements(units, holders).values():
             for cl in holders.get(comp, ()):
@@ -327,7 +325,7 @@ def extract_tableau(verdict: Verdict) -> CnfTableau:
             clauses[app.member_index].add(Clause((app.chosen_literal,)))
 
     for i in individuals:
-        _close_labels(clause_sets[i], clauses[i])
+        _close_labels(clauses[i])
 
     labels = {
         i: frozenset(clause_sets[i]) | frozenset(clauses[i]) for i in individuals

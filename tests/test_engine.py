@@ -12,24 +12,17 @@ from hypothesis import given, settings
 from alcsat.clause_model import Family
 from alcsat.engine import (
     RULE_A1,
+    RULE_A1_PLUS,
+    RULE_A2,
+    RULE_A2_PLUS,
     RULE_A3,
-    NonUnitPresentError,
-    NotAllUnitError,
-    PreconditionError,
     ResourceLimitError,
     Strategy,
     TraceFormatError,
-    UniversalPresentError,
-    apply_a1,
-    apply_a1_plus,
-    apply_a2,
-    apply_a2_plus,
-    apply_a3,
     decide_sat,
     decode_trace,
     family_measure,
     is_clash,
-    is_complete,
     replay_trace,
     trace_to_dot,
     trace_to_json,
@@ -38,6 +31,7 @@ from alcsat.engine import (
     _clash_deps,
     _clashes,
     _measure_after,
+    _plan,
 )
 from alcsat.normal_form import (
     Clause,
@@ -80,34 +74,32 @@ from conftest import (
 )
 
 
+def _applied(rule: str, f: ClauseSet, target: Clause, lit) -> ClauseSet:
+    """The member a ``rule`` step on clause ``target`` of ``f`` (picking
+    or consuming ``lit``) makes, as the search builds it: member 0 of
+    the family ``_apply_planned`` makes of ``f``'s own family."""
+    return _apply_planned(Family((f,)), (rule, 0, target, lit)).members[0]
+
+
 # --- A1 -----------------------------------------------------------------
 
 
 def test_a1_collapses_first_clause_of_animal_root():
     f = ANIMAL_BASIC_NODES[0].members[0]
-    out = apply_a1(f, cl(A, B), A)
+    out = _applied(RULE_A1, f, cl(A, B), A)
     assert out == ANIMAL_BASIC_NODES[1].members[0]
 
 
 def test_a1_only_clause_collapses():
-    assert apply_a1(cs(cl(A, B)), cl(A, B), B) == cs(cl(B))
+    assert _applied(RULE_A1, cs(cl(A, B)), cl(A, B), B) == cs(cl(B))
 
 
 def test_a1_can_introduce_a_clash_pair():
     f = ANIMAL_BASIC_NODES[2].members[0]
-    out = apply_a1(f, cl(NA, EX_LEG_NOT_SMALL), NA)
+    out = _applied(RULE_A1, f, cl(NA, EX_LEG_NOT_SMALL), NA)
     assert out == ANIMAL_BASIC_NODES[3].members[0]
     assert cl(A) in out and cl(NA) in out
     assert is_clash(out)
-
-
-def test_a1_preconditions():
-    with pytest.raises(PreconditionError):
-        apply_a1(cs(cl(A)), cl(A), A)  # unit target
-    with pytest.raises(PreconditionError):
-        apply_a1(cs(cl(A, B)), cl(A, NA), A)  # clause not present
-    with pytest.raises(PreconditionError):
-        apply_a1(cs(cl(A, B)), cl(A, B), NA)  # literal not in clause
 
 
 # --- A1+ ----------------------------------------------------------------
@@ -115,12 +107,12 @@ def test_a1_preconditions():
 
 def test_a1_plus_collapses_all_holders_and_strips_complement():
     f = ANIMAL_PLUS_NODES[0].members[0]
-    out = apply_a1_plus(f, cl(A, B), A)
+    out = _applied(RULE_A1_PLUS, f, cl(A, B), A)
     assert out == ANIMAL_PLUS_NODES[1].members[0]
 
 
 def test_a1_plus_complement_removal_can_empty_a_clause():
-    out = apply_a1_plus(cs(cl(A, B), cl(NA)), cl(A, B), A)
+    out = _applied(RULE_A1_PLUS, cs(cl(A, B), cl(NA)), cl(A, B), A)
     assert out == cs(cl(A), cl())
     assert is_clash(out)
 
@@ -128,7 +120,7 @@ def test_a1_plus_complement_removal_can_empty_a_clause():
 def test_a1_plus_set_collapse_of_two_holders():
     # Both clauses contain the chosen literal, so both become its unit and
     # the set collapses to one clause.
-    out = apply_a1_plus(cs(cl(A, B), cl(A, Pos("C"))), cl(A, B), A)
+    out = _applied(RULE_A1_PLUS, cs(cl(A, B), cl(A, Pos("C"))), cl(A, B), A)
     assert out == cs(cl(A))
 
 
@@ -137,20 +129,20 @@ def test_a1_plus_set_collapse_of_two_holders():
 
 def test_a2_merges_universal_body_into_same_role_existential():
     f = ANIMAL_BASIC_NODES[5].members[0]
-    out = apply_a2(f, FA_NOT_LEG)
+    out = _applied(RULE_A2, f, cl(FA_NOT_LEG), FA_NOT_LEG)
     assert out == ANIMAL_BASIC_NODES[6].members[0]
 
 
 def test_a2_with_no_existential_drops_to_empty_set():
     univ = ForallLit("R", cs(cl(A)))
-    assert apply_a2(cs(cl(univ)), univ) == EMPTY_CLAUSE_SET
+    assert _applied(RULE_A2, cs(cl(univ)), cl(univ), univ) == EMPTY_CLAUSE_SET
 
 
 def test_a2_leaves_other_roles_untouched():
     univ = ForallLit("R", cs(cl(A)))
     other = ExistsLit("S", cs(cl(B)))
     pre = cs(cl(univ), cl(other))
-    out = apply_a2(pre, univ)
+    out = _applied(RULE_A2, pre, cl(univ), univ)
     assert out == cs(cl(other))
     # satisfiability is preserved by the step
     assert oracle_sat(clause_set_to_concept(pre)) == oracle_sat(
@@ -158,43 +150,37 @@ def test_a2_leaves_other_roles_untouched():
     )
 
 
-def test_a2_preconditions():
-    with pytest.raises(PreconditionError):
-        apply_a2(cs(cl(A)), ForallLit("R", cs(cl(A))))  # literal absent
-    with pytest.raises(PreconditionError):
-        apply_a2(cs(cl(A)), A)  # not a universal
-
-
 # --- A2+ ----------------------------------------------------------------
 
 
 def test_a2_plus_on_all_unit_member():
     f = ANIMAL_PLUS_NODES[2].members[0]
-    out = apply_a2_plus(f, cl(FA_NOT_LEG))
+    out = _applied(RULE_A2_PLUS, f, cl(FA_NOT_LEG), FA_NOT_LEG)
     assert out == ANIMAL_PLUS_NODES[3].members[0]
 
 
 def test_a2_plus_without_existential():
     univ = ForallLit("R", cs(cl(B)))
-    assert apply_a2_plus(cs(cl(A), cl(univ)), cl(univ)) == cs(cl(A))
+    assert _applied(RULE_A2_PLUS, cs(cl(A), cl(univ)), cl(univ), univ) == cs(cl(A))
 
 
-def test_a2_plus_requires_all_units():
-    univ = ForallLit("R", cs(cl(Pos("C"))))
-    with pytest.raises(NotAllUnitError):
-        apply_a2_plus(cs(cl(A, B), cl(univ)), cl(univ))
-
-
-@settings(max_examples=60, deadline=None)
-@given(small_concepts)
-def test_a2_plus_equals_a2_whenever_both_apply(c):
-    f = to_cnf(c)
-    if any(len(clause) != 1 for clause in f):
-        return
-    for clause in f:
-        lit = clause.literals[0]
-        if isinstance(lit, ForallLit):
-            assert apply_a2_plus(f, clause) == apply_a2(f, lit)
+def test_a2_plus_equals_a2_whenever_both_apply(clash_corpus):
+    # Where the basic plan consumes a universal unit of an all-unit
+    # member, the plus plan consumes the same one, into the same child.
+    both = 0
+    for verdict in _corpus(clash_corpus):
+        for fam in verdict.tree.nodes:
+            basic = _plan(fam, Strategy.BASIC)
+            if basic is None or basic[0][0] != RULE_A2:
+                continue
+            [(_, i, target, lit)] = basic
+            if not all(c.is_unit for c in fam.members[i]):
+                continue
+            plus = _plan(fam, Strategy.PLUS)
+            assert plus == [(RULE_A2_PLUS, i, target, lit)]
+            assert _apply_planned(fam, plus[0]) == _apply_planned(fam, basic[0])
+            both += 1
+    assert both > 100
 
 
 # --- A3 -----------------------------------------------------------------
@@ -202,14 +188,14 @@ def test_a2_plus_equals_a2_whenever_both_apply(c):
 
 def test_a3_peels_merged_existential():
     fam = ANIMAL_BASIC_NODES[6]
-    out = apply_a3(fam, 0, cl(EX_MERGED_LEG))
+    out = _apply_planned(fam, (RULE_A3, 0, cl(EX_MERGED_LEG), None))
     assert out == ANIMAL_BASIC_NODES[7]
 
 
 def test_a3_lone_existential_leaves_empty_member():
     body = cs(cl(A))
     fam = Family((cs(cl(ExistsLit("R", body))),))
-    out = apply_a3(fam, 0, cl(ExistsLit("R", body)))
+    out = _apply_planned(fam, (RULE_A3, 0, cl(ExistsLit("R", body)), None))
     assert out.members == (EMPTY_CLAUSE_SET, body)
     assert out.edges[0].parent == 0
     assert out.edges[0].role == "R"
@@ -218,17 +204,8 @@ def test_a3_lone_existential_leaves_empty_member():
 
 def test_a3_second_peel_matches_accepting_branch():
     fam = ANIMAL_BASIC_NODES[9]
-    out = apply_a3(fam, 0, cl(EX_MERGED_WING))
+    out = _apply_planned(fam, (RULE_A3, 0, cl(EX_MERGED_WING), None))
     assert out == ANIMAL_BASIC_NODES[10]
-
-
-def test_a3_preconditions():
-    body = cs(cl(A))
-    ex_unit = cl(ExistsLit("R", body))
-    with pytest.raises(UniversalPresentError):
-        apply_a3(Family((cs(ex_unit, cl(ForallLit("R", body))),)), 0, ex_unit)
-    with pytest.raises(NonUnitPresentError):
-        apply_a3(Family((cs(ex_unit, cl(A, B)),)), 0, ex_unit)
 
 
 # --- clash and completeness ----------------------------------------------
@@ -279,29 +256,29 @@ def test_clash_scan_equals_the_full_scan_on_every_member(clash_corpus):
 
 
 def test_complete_on_final_animal_node():
-    assert is_complete(ANIMAL_BASIC_NODES[10], Strategy.BASIC)
-    assert is_complete(ANIMAL_PLUS_NODES[7], Strategy.PLUS)
+    assert _plan(ANIMAL_BASIC_NODES[10], Strategy.BASIC) is None
+    assert _plan(ANIMAL_PLUS_NODES[7], Strategy.PLUS) is None
 
 
 def test_incomplete_when_a1_applies():
     fam = Family((cs(cl(A, B)),))
-    assert not is_complete(fam, Strategy.BASIC)
-    assert not is_complete(fam, Strategy.PLUS)
+    assert _plan(fam, Strategy.BASIC) is not None
+    assert _plan(fam, Strategy.PLUS) is not None
 
 
 def test_incomplete_when_a3_applies():
     fam = Family((cs(cl(ExistsLit("R", cs(cl(A))))),))
-    assert not is_complete(fam, Strategy.BASIC)
-    assert not is_complete(fam, Strategy.PLUS)
+    assert _plan(fam, Strategy.BASIC) is not None
+    assert _plan(fam, Strategy.PLUS) is not None
 
 
 def test_a2_plus_and_a3_need_an_all_unit_member():
     # The empty clause is not a unit: A2+ and A3 do not apply next to it,
     # A2 does.
     fam = Family((cs(cl(), cl(ForallLit("R", cs(cl(A))))),))
-    assert not is_complete(fam, Strategy.BASIC)
-    assert is_complete(fam, Strategy.PLUS)
-    assert is_complete(Family((cs(cl(), cl(ExistsLit("R", cs(cl(A))))),)), Strategy.PLUS)
+    assert _plan(fam, Strategy.BASIC) is not None
+    assert _plan(fam, Strategy.PLUS) is None
+    assert _plan(Family((cs(cl(), cl(ExistsLit("R", cs(cl(A))))),)), Strategy.PLUS) is None
 
 
 def _reference_complete(fam: Family, strategy: Strategy) -> bool:
@@ -329,7 +306,82 @@ def test_is_complete_matches_the_rule_preconditions_on_every_node(c):
     f = to_cnf(c)
     for strategy in Strategy:
         for fam in decide_sat(f, strategy).tree.nodes:
-            assert is_complete(fam, strategy) == _reference_complete(fam, strategy)
+            assert (_plan(fam, strategy) is None) == _reference_complete(fam, strategy)
+
+
+def _reference_applies(fam: Family, step) -> bool:
+    """A rule's precondition as the paper states it: A1/A1+ pick a
+    literal of a member's clause of two or more literals; A2 consumes a
+    universal literal from a clause holding it; A2+ consumes a universal
+    unit of an all-unit member; A3 peels an existential unit off an
+    all-unit member with no universal unit."""
+    rule, i, target, lit = step
+    if not (0 <= i < len(fam.members) and target in fam.members[i]):
+        return False
+    clauses = fam.members[i].clauses
+    if rule in (RULE_A1, RULE_A1_PLUS):
+        return len(target) >= 2 and lit in target
+    if rule == RULE_A2:
+        return isinstance(lit, ForallLit) and lit in target
+    all_unit = all(c.is_unit for c in clauses)
+    if rule == RULE_A2_PLUS:
+        return all_unit and target == cl(lit) and isinstance(lit, ForallLit)
+    return (
+        rule == RULE_A3
+        and all_unit
+        and not any(isinstance(c.literals[0], ForallLit) for c in clauses)
+        and target.is_unit
+        and isinstance(target.literals[0], ExistsLit)
+        and lit is None
+    )
+
+
+_STRATEGIES_OF = {
+    RULE_A1: (Strategy.BASIC,),
+    RULE_A2: (Strategy.BASIC,),
+    RULE_A1_PLUS: (Strategy.PLUS,),
+    RULE_A2_PLUS: (Strategy.PLUS,),
+    RULE_A3: (Strategy.BASIC, Strategy.PLUS),
+}
+_BODY = cs(cl(A))
+_EX, _UNIV = ExistsLit("R", _BODY), ForallLit("R", _BODY)
+
+
+@pytest.mark.parametrize(
+    "f, step",
+    [
+        (cs(cl(A), cl(A, B)), (RULE_A1, 0, cl(A), A)),  # a unit target
+        (cs(cl(A, B)), (RULE_A1, 0, cl(A, NA), A)),  # a clause not in the member
+        (cs(cl(A, B)), (RULE_A1, 0, cl(A, B), NA)),  # a literal not in its clause
+        (cs(cl(A, B)), (RULE_A2, 0, cl(_UNIV), _UNIV)),  # an absent literal
+        (cs(cl(A), cl(_UNIV)), (RULE_A2, 0, cl(A), A)),  # not a universal
+        (cs(cl(A, B), cl(_UNIV)), (RULE_A2_PLUS, 0, cl(_UNIV), _UNIV)),  # not all units
+        (cs(cl(A), cl(_UNIV)), (RULE_A2_PLUS, 0, cl(A), A)),  # not a universal unit
+        (cs(cl(A)), (RULE_A2_PLUS, 0, cl(_UNIV), _UNIV)),  # an absent unit
+        (cs(cl(_EX), cl(_UNIV)), (RULE_A3, 0, cl(_EX), None)),  # next to a universal unit
+        (cs(cl(_EX), cl(A, B)), (RULE_A3, 0, cl(_EX), None)),  # next to a non-unit
+        (cs(cl(A), cl(_EX)), (RULE_A3, 0, cl(A), None)),  # not an existential unit
+        (cs(cl(A)), (RULE_A3, 0, cl(_EX), None)),  # an absent unit
+        (cs(cl(A, B)), (RULE_A1_PLUS, 0, cl(A, B), NA)),  # a literal not in its target
+    ],
+)
+def test_plan_never_offers_a_step_outside_its_precondition(f, step):
+    fam = Family((f,))
+    assert not _reference_applies(fam, step)
+    for strategy in _STRATEGIES_OF[step[0]]:
+        assert step not in (_plan(fam, strategy) or [])
+
+
+def test_every_planned_step_meets_its_rule_precondition(clash_corpus):
+    offered = dict.fromkeys(_STRATEGIES_OF, 0)
+    for verdict in _corpus(clash_corpus):
+        strategy = verdict.strategy
+        for fam in verdict.tree.nodes:
+            for step in _plan(fam, strategy) or ():
+                assert strategy in _STRATEGIES_OF[step[0]]
+                assert _reference_applies(fam, step), step
+                offered[step[0]] += 1
+    assert min(offered.values()) > 100, offered
 
 
 # --- decide_sat golden traces ----------------------------------------------
@@ -426,9 +478,9 @@ def test_a1_plus_refines_a1(c):
         if len(clause) < 2:
             continue
         for lit in clause:
-            plus = apply_a1_plus(f, clause, lit)
+            plus = _applied(RULE_A1_PLUS, f, clause, lit)
             assert cl(lit) in plus
-            base = apply_a1(f, clause, lit)
+            base = _applied(RULE_A1, f, clause, lit)
             for out_clause in plus:
                 assert any(
                     set(out_clause.literals) <= set(other.literals) for other in base
@@ -501,24 +553,8 @@ def test_every_spliced_a1_child_is_the_sorted_construction(clash_corpus):
             target, lit = app.target_clause, app.chosen_literal
             sorted_child = ClauseSet([c for c in f.clauses if c is not target] + [Clause((lit,))])
             assert nodes[child].members[app.member_index] is sorted_child
-            assert apply_a1(f, target, lit) is sorted_child
             a1_edges += 1
     assert a1_edges > 1000
-
-
-def test_public_rules_check_what_a_planned_step_does_not():
-    # _apply_planned builds these children unchecked; the public rules refuse.
-    ex, univ = cl(ExistsLit("R", cs(cl(A)))), cl(ForallLit("R", cs(cl(B))))
-    with pytest.raises(PreconditionError):
-        apply_a2_plus(cs(cl(A), univ), cl(A))  # not a universal unit
-    with pytest.raises(PreconditionError):
-        apply_a2_plus(cs(cl(A)), univ)  # not in the member
-    with pytest.raises(PreconditionError):
-        apply_a3(Family((cs(cl(A), ex),)), 0, cl(A))  # not an existential unit
-    with pytest.raises(PreconditionError):
-        apply_a3(Family((cs(cl(A)),)), 0, ex)  # not in the member
-    with pytest.raises(PreconditionError):
-        apply_a1_plus(cs(cl(A, B)), cl(A, B), NA)  # literal not in the target
 
 
 @pytest.mark.parametrize(
@@ -531,8 +567,7 @@ def test_public_rules_check_what_a_planned_step_does_not():
     ],
 )
 def test_a1_splice_equals_the_sorted_construction(f, target, lit):
-    spliced = _apply_planned(Family((f,)), (RULE_A1, 0, target, lit)).members[0]
-    assert spliced is apply_a1(f, target, lit)
+    spliced = _applied(RULE_A1, f, target, lit)
     assert spliced is ClauseSet([c for c in f.clauses if c is not target] + [Clause((lit,))])
 
 
@@ -553,7 +588,7 @@ def test_sat_reproducible_from_any_ancestor(c):
             for _, app in path[start + 1 :]:
                 fam = _apply_planned(fam, app)
             assert fam == verdict.witness_family
-            assert is_complete(fam, strategy)
+            assert _plan(fam, strategy) is None
             assert not any(is_clash(m) for m in fam.members)
 
 

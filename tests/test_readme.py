@@ -1,20 +1,26 @@
 """The README's library example runs as written, the README and the
-``cli`` docstring name only the options the parser has, and the
-README's trace example has the fields ``trace_to_json`` writes."""
+``cli`` docstring name only the options the parser has, the README's
+trace example has the fields ``trace_to_json`` writes, and the names the
+README and the package's docstrings refer to exist."""
 
 from __future__ import annotations
 
 import argparse
+import builtins
+import importlib
 import json
 import re
 from pathlib import Path
 
+import alcsat
 from alcsat import cli
 from alcsat.engine import TRACE_FORMAT, Strategy, decide_sat, trace_to_json
 from alcsat.normal_form import to_cnf
 from alcsat.syntax import parse_concept
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+PACKAGE = Path(alcsat.__file__).resolve().parent
+MODULES = ("syntax", "normal_form", "clause_model", "engine", "oracle", "tableau", "harness", "cli")
 
 
 def _library_example() -> str:
@@ -77,3 +83,49 @@ def test_readme_trace_example_has_the_fields_trace_to_json_writes():
     verdict = decide_sat(to_cnf(parse_concept("A | B")), Strategy.PLUS)
     assert list(example) == list(trace_to_json(verdict, Strategy.PLUS))
     assert example["format"] == TRACE_FORMAT
+
+
+def _lookup(obj: object, dotted: str) -> bool:
+    """Whether ``dotted`` names an attribute chain of ``obj``."""
+    for part in dotted.split("."):
+        if not hasattr(obj, part):
+            return False
+        obj = getattr(obj, part)
+    return True
+
+
+def _resolves(module, role: str, target: str) -> bool:
+    """Whether the Sphinx reference ``:role:`target``` in ``module``
+    names something that exists: a name of the module, a builtin, a
+    name under ``alcsat``, or for ``meth`` a method of one of the
+    module's classes."""
+    target = target.lstrip("~")
+    if target.startswith("alcsat."):
+        return _lookup(alcsat, target[len("alcsat."):])
+    if _lookup(module, target) or _lookup(builtins, target):
+        return True
+    classes = [c for c in vars(module).values() if isinstance(c, type)]
+    return role == "meth" and any(_lookup(c, target) for c in classes)
+
+
+def test_doc_references_name_what_exists():
+    engine = importlib.import_module("alcsat.engine")
+    assert _resolves(engine, "class", "ValueError")
+    assert not _resolves(engine, "func", "is_complete")  # a name engine does not define
+    stale = []
+    readme = README.read_text(encoding="utf-8")
+    pattern = rf"`({'|'.join(MODULES)})\.([A-Za-z_][\w.]*)`"
+    for name, attr in re.findall(pattern, readme):
+        if not _lookup(importlib.import_module(f"alcsat.{name}"), attr):
+            stale.append(f"README.md: {name}.{attr}")
+    checked = 0
+    for path in sorted(PACKAGE.glob("*.py")):
+        name = "alcsat" if path.stem == "__init__" else f"alcsat.{path.stem}"
+        module = importlib.import_module(name)
+        for role, target in re.findall(r":(func|class|data|meth):`([^`]+)`", path.read_text()):
+            checked += 1
+            if not _resolves(module, role, target):
+                stale.append(f"{path.name}: :{role}:`{target}`")
+    assert checked > 50
+    assert stale == []
+

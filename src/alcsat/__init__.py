@@ -35,11 +35,10 @@ from alcsat.normal_form import (
     clause_set_to_concept,
     complement,
     to_cnf,
-    to_nnf,
 )
 from alcsat.clause_model import Family, FamilyEdge
 from alcsat.engine import Strategy, Verdict, decide_sat
-from alcsat.oracle import oracle_equiv, oracle_sat
+from alcsat.oracle import oracle_sat
 from alcsat.tableau import (
     CnfTableau,
     Interpretation,
@@ -83,12 +82,10 @@ __all__ = [
     "eval_concept",
     "extract_tableau",
     "gen_concept",
-    "oracle_equiv",
     "oracle_sat",
     "parse_concept",
     "render_concept",
     "run_differential",
     "tableau_to_interpretation",
     "to_cnf",
-    "to_nnf",
 ]

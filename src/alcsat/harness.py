@@ -86,6 +86,8 @@ class GenConfig(_Frozen):
             raise ValueError("max_depth must be at least 1")
         if num_names < 1:
             raise ValueError("num_names must be at least 1")
+        if num_roles < 0:
+            raise ValueError("num_roles must not be negative")
         weights = {**DEFAULT_WEIGHTS, **dict(connective_weights or {})}
         if all(w <= 0 for w in weights.values()):
             raise ValueError("connective weights must not all be zero")

@@ -8,19 +8,18 @@ any concept into this form in one walk that carries each node's
 polarity (under an even or odd number of ``!``): it pushes negations to
 names by De Morgan's laws, flattens ``&`` and ``|`` chains into sets,
 and distributes disjunction over conjunction at every nesting level.
-:func:`to_nnf`, the negation normal form alone, stays public.
 
 Top/bottom handling: ``top`` and ``bot`` are simplified away on clause
 tuples during the walk, ``()`` being top and ``(EMPTY_CLAUSE,)`` bot:
 ``C & top = C``, ``C | bot = C``, ``C & bot = bot``, ``C | top = top``,
-``!top = bot``, ``exists R.bot = bot``, ``forall R.top = top``, as
-:func:`to_nnf` simplifies concepts.  A concept equivalent
-to ``top`` becomes the empty clause set (vacuously satisfiable); one
-equivalent to ``bot`` becomes ``{{}}``, the set holding the empty
-clause.  Two residual forms survive: ``exists R.top`` becomes an
-existential literal with an empty body (a bare demand for a successor)
-and ``forall R.bot`` a universal literal with body ``{{}}`` (a demand
-that no successor exists).
+``!top = bot``, ``exists R.bot = bot`` and ``forall R.top = top``,
+each applied when a node's operands have been converted.  A concept
+equivalent to ``top`` becomes the empty clause set (vacuously
+satisfiable); one equivalent to ``bot`` becomes ``{{}}``, the set
+holding the empty clause.  Two residual forms survive: ``exists R.top``
+becomes an existential literal with an empty body (a bare demand for a
+successor) and ``forall R.bot`` a universal literal with body ``{{}}``
+(a demand that no successor exists).
 
 Clauses and clause sets are canonical by construction: constructors
 deduplicate and order elements by a fixed structural total order
@@ -353,84 +352,6 @@ class ClauseBudgetError(Exception):
         self.clauses = clauses
 
 
-def to_nnf(c: Concept) -> Concept:
-    """Push negations down to names and simplify ``top``/``bot`` away.
-
-    The result is semantically equivalent to ``c``; negation occurs only
-    directly on names.  ``top``/``bot`` survive only as a whole-concept
-    result or in the residual forms ``exists R.top`` / ``forall R.bot``.
-    The walk keeps its own stack, so deep nesting (a run of thousands of
-    ``!``, a chain of thousands of ``&``) needs no call stack.
-    """
-    # ``todo`` holds (None, concept) to normalize, or (constructor,
-    # concept) to rebuild ``concept`` from the results on top of ``done``;
-    # a node whose operands came back unchanged is kept as it is.
-    done: list[Concept] = []
-    todo: list[tuple] = [(None, c)]
-    while todo:
-        ctor, item = todo.pop()
-        if ctor is None:
-            c = item
-            if isinstance(c, Name):
-                done.append(c)
-                continue
-            while isinstance(c, Not) and isinstance(c.body, Not):
-                c = c.body.body
-            if isinstance(c, Not):
-                inner = c.body
-                if isinstance(inner, Name):
-                    done.append(c)
-                    continue
-                if isinstance(inner, Top):
-                    c = Bottom()
-                elif isinstance(inner, Bottom):
-                    c = Top()
-                elif isinstance(inner, And):
-                    c = Or(Not(inner.left), Not(inner.right))
-                elif isinstance(inner, Or):
-                    c = And(Not(inner.left), Not(inner.right))
-                elif isinstance(inner, Forall):
-                    c = Exists(inner.role, Not(inner.body))
-                elif isinstance(inner, Exists):
-                    c = Forall(inner.role, Not(inner.body))
-                else:
-                    raise TypeError(f"not a Concept: {c!r}")
-            if isinstance(c, (Name, Top, Bottom)):
-                done.append(c)
-            elif isinstance(c, (And, Or, Forall, Exists)):
-                todo.append((type(c), c))
-                if isinstance(c, (And, Or)):
-                    todo += ((None, c.right), (None, c.left))
-                else:
-                    todo.append((None, c.body))
-            else:
-                raise TypeError(f"not a Concept: {c!r}")
-        elif ctor is And or ctor is Or:
-            right, left = done.pop(), done.pop()
-            absorbing, unit = (Bottom, Top) if ctor is And else (Top, Bottom)
-            if isinstance(left, absorbing) or isinstance(right, absorbing):
-                done.append(absorbing())
-            elif isinstance(left, unit):
-                done.append(right)
-            elif isinstance(right, unit):
-                done.append(left)
-            elif left is item.left and right is item.right:
-                done.append(item)
-            else:
-                done.append(ctor(left, right))
-        else:
-            body = done.pop()
-            if ctor is Forall and isinstance(body, Top):
-                done.append(Top())
-            elif ctor is Exists and isinstance(body, Bottom):
-                done.append(Bottom())
-            elif body is item.body:
-                done.append(item)
-            else:
-                done.append(ctor(item.role, body))
-    return done.pop()
-
-
 # What the walk below makes of a concept at a polarity: a tuple of
 # clauses; ``_TOP`` (no clause) or ``_BOT`` (the empty clause) for one
 # equivalent to ``top`` or ``bot``; a list of at least two tuples, a
@@ -624,8 +545,8 @@ def complement(lit: Literal) -> Literal:
     from ``F``'s clauses: each clause of ``F`` becomes the conjunction of
     its literals' complements, and the disjunction of those is
     distributed to clauses as :func:`to_cnf` distributes ``|``.  The
-    nested complements that :func:`to_nnf` would simplify are simplified
-    the same way: ``forall S.{}`` (``forall S.top``, true) drops out of
+    nested complements are simplified by :func:`to_cnf`'s ``top``/``bot``
+    rules: ``forall S.{}`` (``forall S.top``, true) drops out of
     its conjunction, and ``exists S.{{}}`` (``exists S.bot``, false)
     drops its whole disjunct.  A clause of ``F`` that is empty, or whose
     complements all drop out, makes ``CNF(!F)`` the empty set (true); if
@@ -736,25 +657,6 @@ def _complement_quantified(lit: Literal) -> dict:
         body = _clause_set(_disjunction(negated))
         made[q] = body if type(body) is ClauseBudgetError else _DUAL[type(q)](q.role, body)
     return made
-
-
-def is_canonical_clause_set(f: ClauseSet) -> bool:
-    """True if every nesting level is deduplicated and ordered."""
-
-    def lit_ok(lit: Literal) -> bool:
-        if isinstance(lit, (ExistsLit, ForallLit)):
-            return cs_ok(lit.body)
-        return isinstance(lit, (Pos, Neg))
-
-    def cl_ok(cl: Clause) -> bool:
-        keys = [l.key for l in cl]
-        return keys == sorted(set(keys)) and all(lit_ok(l) for l in cl)
-
-    def cs_ok(cs: ClauseSet) -> bool:
-        keys = [c.key for c in cs]
-        return keys == sorted(set(keys)) and all(cl_ok(c) for c in cs)
-
-    return cs_ok(f)
 
 
 # --- JSON encodings -------------------------------------------------------

@@ -159,9 +159,3 @@ def oracle_model(c: Concept) -> Interpretation | None:
         name_ext={n: frozenset(v) for n, v in names.items()},
         role_ext={r: frozenset(v) for r, v in roles.items()},
     )
-
-
-def oracle_equiv(c1: Concept, c2: Concept) -> bool:
-    """True iff ``c1`` and ``c2`` denote the same sets in every
-    interpretation (neither difference is satisfiable)."""
-    return not oracle_sat(And(c1, Not(c2))) and not oracle_sat(And(Not(c1), c2))

@@ -167,13 +167,6 @@ class Violation(_Frozen):
         _set(self, "individuals", individuals)
         _set(self, "expr", expr)
 
-    def to_json(self) -> dict:
-        return {
-            "condition": self.condition,
-            "individuals": list(self.individuals),
-            "expr": self.expr,
-        }
-
 
 def _expr_str(x: LabelExpr) -> str:
     if isinstance(x, ClauseSet):

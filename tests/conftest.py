@@ -34,8 +34,8 @@ from alcsat.normal_form import (
     clause_set_to_concept,
     complement,
     to_cnf,
-    to_nnf,
 )
+from alcsat.oracle import oracle_sat
 from alcsat.syntax import (
     And,
     Bottom,
@@ -239,6 +239,31 @@ def complement_by_round_trip(lit: Literal) -> Literal:
     return dual(lit.role, to_cnf(Not(clause_set_to_concept(lit.body))))
 
 
+def is_canonical_clause_set(f: ClauseSet) -> bool:
+    """True if every nesting level is deduplicated and ordered."""
+
+    def lit_ok(lit: Literal) -> bool:
+        if isinstance(lit, (ExistsLit, ForallLit)):
+            return cs_ok(lit.body)
+        return isinstance(lit, (Pos, Neg))
+
+    def cl_ok(cl: Clause) -> bool:
+        keys = [l.key for l in cl]
+        return keys == sorted(set(keys)) and all(lit_ok(l) for l in cl)
+
+    def cs_ok(cs: ClauseSet) -> bool:
+        keys = [c.key for c in cs]
+        return keys == sorted(set(keys)) and all(cl_ok(c) for c in cs)
+
+    return cs_ok(f)
+
+
+def oracle_equiv(c1: Concept, c2: Concept) -> bool:
+    """True iff ``c1`` and ``c2`` denote the same sets in every
+    interpretation (neither difference is satisfiable)."""
+    return not oracle_sat(And(c1, Not(c2))) and not oracle_sat(And(Not(c1), c2))
+
+
 class EmptyClauseSetError(ValueError):
     """The subexpression closure is defined only for non-empty clause sets."""
 
@@ -342,6 +367,84 @@ def complements_of_every_unit(units: list[Literal], holders) -> dict[Literal, Li
     """``tableau._complements`` without its filter: every unit's
     complement, whether or not a labeled literal could equal it."""
     return {lit: complement(lit) for lit in units}
+
+
+def to_nnf(c: Concept) -> Concept:
+    """Push negations down to names and simplify ``top``/``bot`` away.
+
+    The result is semantically equivalent to ``c``; negation occurs only
+    directly on names.  ``top``/``bot`` survive only as a whole-concept
+    result or in the residual forms ``exists R.top`` / ``forall R.bot``.
+    The walk keeps its own stack, so deep nesting (a run of thousands of
+    ``!``, a chain of thousands of ``&``) needs no call stack.
+    """
+    # ``todo`` holds (None, concept) to normalize, or (constructor,
+    # concept) to rebuild ``concept`` from the results on top of ``done``;
+    # a node whose operands came back unchanged is kept as it is.
+    done: list[Concept] = []
+    todo: list[tuple] = [(None, c)]
+    while todo:
+        ctor, item = todo.pop()
+        if ctor is None:
+            c = item
+            if isinstance(c, Name):
+                done.append(c)
+                continue
+            while isinstance(c, Not) and isinstance(c.body, Not):
+                c = c.body.body
+            if isinstance(c, Not):
+                inner = c.body
+                if isinstance(inner, Name):
+                    done.append(c)
+                    continue
+                if isinstance(inner, Top):
+                    c = Bottom()
+                elif isinstance(inner, Bottom):
+                    c = Top()
+                elif isinstance(inner, And):
+                    c = Or(Not(inner.left), Not(inner.right))
+                elif isinstance(inner, Or):
+                    c = And(Not(inner.left), Not(inner.right))
+                elif isinstance(inner, Forall):
+                    c = Exists(inner.role, Not(inner.body))
+                elif isinstance(inner, Exists):
+                    c = Forall(inner.role, Not(inner.body))
+                else:
+                    raise TypeError(f"not a Concept: {c!r}")
+            if isinstance(c, (Name, Top, Bottom)):
+                done.append(c)
+            elif isinstance(c, (And, Or, Forall, Exists)):
+                todo.append((type(c), c))
+                if isinstance(c, (And, Or)):
+                    todo += ((None, c.right), (None, c.left))
+                else:
+                    todo.append((None, c.body))
+            else:
+                raise TypeError(f"not a Concept: {c!r}")
+        elif ctor is And or ctor is Or:
+            right, left = done.pop(), done.pop()
+            absorbing, unit = (Bottom, Top) if ctor is And else (Top, Bottom)
+            if isinstance(left, absorbing) or isinstance(right, absorbing):
+                done.append(absorbing())
+            elif isinstance(left, unit):
+                done.append(right)
+            elif isinstance(right, unit):
+                done.append(left)
+            elif left is item.left and right is item.right:
+                done.append(item)
+            else:
+                done.append(ctor(left, right))
+        else:
+            body = done.pop()
+            if ctor is Forall and isinstance(body, Top):
+                done.append(Top())
+            elif ctor is Exists and isinstance(body, Bottom):
+                done.append(Bottom())
+            elif body is item.body:
+                done.append(item)
+            else:
+                done.append(ctor(item.role, body))
+    return done.pop()
 
 
 def _operands(c: Concept) -> list[Concept]:

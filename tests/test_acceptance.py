@@ -21,7 +21,7 @@ from alcsat.engine import (
 )
 from alcsat.harness import GenConfig, gen_concept
 from alcsat.normal_form import ClauseSet, clause_set_to_concept, to_cnf
-from alcsat.oracle import oracle_equiv, oracle_sat
+from alcsat.oracle import oracle_sat
 from alcsat.syntax import Concept
 from alcsat.tableau import (
     check_tableau,
@@ -37,6 +37,7 @@ from conftest import (
     ANIMAL_PLUS_CLASHES,
     ANIMAL_PLUS_EDGES,
     ANIMAL_PLUS_NODES,
+    oracle_equiv,
 )
 
 BATCH_SEED = 2025

@@ -250,6 +250,11 @@ def test_fuzz_zero_trials_usage_error(capsys):
     assert main(["fuzz", "--trials", "0"]) == 2
 
 
+def test_fuzz_negative_roles_usage_error(capsys):
+    assert main(["fuzz", "--trials", "1", "--roles", "-1"]) == 2
+    assert "bad configuration: num_roles" in capsys.readouterr().err
+
+
 def test_fuzz_propositional_only(capsys):
     assert main(["fuzz", "--trials", "10", "--max-depth", "1", "--roles", "0"]) == 0
 

@@ -91,6 +91,8 @@ def test_config_validation():
     with pytest.raises(ValueError):
         GenConfig(num_names=0)
     with pytest.raises(ValueError):
+        GenConfig(num_roles=-1)
+    with pytest.raises(ValueError):
         GenConfig(connective_weights={k: 0.0 for k in "name top bot not and or exists forall".split()})
 
 

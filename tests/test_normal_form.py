@@ -25,13 +25,11 @@ from alcsat.normal_form import (
     clause_set_to_json,
     complement,
     complement_key,
-    is_canonical_clause_set,
     literal_to_concept,
     to_cnf,
-    to_nnf,
     values_from_json,
 )
-from alcsat.oracle import oracle_equiv, oracle_sat
+from alcsat.oracle import oracle_sat
 from alcsat.syntax import (
     And,
     Bottom,
@@ -51,7 +49,10 @@ from conftest import (
     complement_by_round_trip,
     concepts,
     cs,
+    is_canonical_clause_set,
+    oracle_equiv,
     small_concepts,
+    to_nnf,
 )
 
 

@@ -6,8 +6,7 @@ import time
 
 from hypothesis import given, settings
 
-from alcsat.normal_form import to_nnf
-from alcsat.oracle import oracle_equiv, oracle_model, oracle_sat
+from alcsat.oracle import oracle_model, oracle_sat
 from alcsat.syntax import (
     And,
     Bottom,
@@ -20,7 +19,7 @@ from alcsat.syntax import (
     parse_concept,
 )
 from alcsat.tableau import eval_concept
-from conftest import ANIMAL_TEXT, small_concepts
+from conftest import ANIMAL_TEXT, oracle_equiv, small_concepts, to_nnf
 
 
 def test_propositional_clash():

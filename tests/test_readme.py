@@ -1,11 +1,13 @@
 """The README's library example runs as written, the README and the
 ``cli`` docstring name only the options the parser has, the README's
-trace example has the fields ``trace_to_json`` writes, and the names the
-README and the package's docstrings refer to exist."""
+trace example has the fields ``trace_to_json`` writes, the names the
+README and the package's docstrings refer to exist, and the package
+defines nothing that only the tests use."""
 
 from __future__ import annotations
 
 import argparse
+import ast
 import builtins
 import importlib
 import json
@@ -18,7 +20,8 @@ from alcsat.engine import TRACE_FORMAT, Strategy, decide_sat, trace_to_json
 from alcsat.normal_form import to_cnf
 from alcsat.syntax import parse_concept
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 PACKAGE = Path(alcsat.__file__).resolve().parent
 MODULES = ("syntax", "normal_form", "clause_model", "engine", "oracle", "tableau", "harness", "cli")
 
@@ -129,3 +132,44 @@ def test_doc_references_name_what_exists():
     assert checked > 50
     assert stale == []
 
+
+def _names_used(node: ast.AST) -> set[str]:
+    """The names ``node`` refers to: its ``Name`` ids, ``Attribute``
+    attributes and imported names."""
+    used = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            used.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            used.add(n.attr)
+        elif isinstance(n, ast.alias):
+            used.add(n.name.rsplit(".", 1)[-1])
+    return used
+
+
+def test_src_holds_no_test_only_code():
+    """Every top-level function and class of the package is referred to
+    from outside its own definition by the package (not its
+    ``__init__``), ``scripts/`` or ``bench/``, or the README names it as
+    ``module.name``.  Code that only the tests call belongs in them."""
+    paths = [*PACKAGE.glob("*.py"), *(ROOT / "scripts").glob("*.py"), *(ROOT / "bench").glob("*.py")]
+    statements = [
+        (path, stmt)
+        for path in sorted(paths)
+        if path.name != "__init__.py"
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body
+    ]
+    users: dict[str, set[int]] = {}  # name -> the statements that refer to it
+    for i, (_, stmt) in enumerate(statements):
+        for name in _names_used(stmt):
+            users.setdefault(name, set()).add(i)
+    named = set(re.findall(r"`(\w+)\.(\w+)`", README.read_text(encoding="utf-8")))
+    unused = [
+        f"{path.stem}.{stmt.name}"
+        for i, (path, stmt) in enumerate(statements)
+        if path.parent == PACKAGE
+        and isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+        and not users.get(stmt.name, set()) - {i}
+        and (path.stem, stmt.name) not in named
+    ]
+    assert unused == []

@@ -25,7 +25,6 @@ from alcsat.normal_form import (
     Pos,
     ValueTable,
     complement,
-    is_canonical_clause_set,
     to_cnf,
     values_from_json,
 )
@@ -34,6 +33,7 @@ from conftest import (
     ANIMAL_CNF,
     chronological_search,
     complement_by_round_trip,
+    is_canonical_clause_set,
     modal_3cnf,
     successor_family,
 )

@@ -29,9 +29,12 @@ A family is complete when no rule applies to any member.  ``_plan``,
 the scheduler above, is the only code that decides applicability: a
 family is complete exactly when it offers no step, and
 :func:`replay_trace` accepts a recorded step only when it is one of the
-alternatives ``_plan`` offers at its parent.  ``_apply_planned`` is the
-only code that builds a child, for the search, decoding and replay
-alike, and checks nothing ``_plan`` has decided.  A2+ and A3 apply only
+alternatives ``_plan`` offers at its parent.  A step's change, what it
+takes out of its member and what it puts in (``_change``), is the one
+place each member rule's transformation is written.  ``_apply_planned``
+is the only code that builds a child, by editing the sorted member with
+that change, for the search, decoding and replay alike, and checks
+nothing ``_plan`` has decided.  A2+ and A3 apply only
 to an all-unit member; a member holding the empty clause is not one.
 
 A member is clashed when it contains the empty clause or two
@@ -56,14 +59,12 @@ choice points whose picks the clause was derived from; a missing entry
 is the empty set, which is what every input clause has.  The maps of a
 node are computed from its parent's only when a failure below needs
 them, so a path that never fails costs no bookkeeping.  A step adds
-entries only for the clauses it adds to a member, and copies that
-member's map only then.  The sets are read off the rules' derivations,
-the one place each member rule's transformation is written (one for A1
-and A1+, one for A2 and A2+): each yields every clause of the result
-with the clauses it comes from, and a clause a step adds gets the union
-of their sets, plus ``c`` when the step is a pick at choice point ``c``.
-Every clause of the member A3 peels off existential unit ``e`` gets the
-set of ``e``.
+entries only for the clauses it puts into a member, and copies that
+member's map only then.  The sets are read off the step's change, which
+names each clause the step puts in with the clauses it comes from: such
+a clause gets the union of their sets, plus ``c`` when the step is a
+pick at choice point ``c``.  Every clause of the member A3 peels off
+existential unit ``e`` gets the set of ``e``.
 
 A clash's set is the set of the empty clause, or the union of the sets
 of the two complementary units.  The failure passes up the stack: at a
@@ -87,9 +88,9 @@ existential-unit count) is summed.  Comparing strata deepest-first, every
 rule application strictly decreases the measure; :func:`decide_sat`
 asserts this at each step.  It carries the measure down by delta: only
 the rewritten member changes, and the appended one for A3, so a child's
-measure is its parent's minus the rows of the clauses the step took
-out and plus those it put in; a member whose depth changed moves its
-whole row, and an appended member adds its whole row.
+measure is its parent's minus the rows of the clauses the step's change
+takes out and plus those it puts in; a member whose depth changed moves
+its whole row, and an appended member adds its whole row.
 :func:`family_measure` is the full recomputation.
 
 Traces (format 3).  :func:`trace_to_json` writes a run as one JSON object:
@@ -171,25 +172,12 @@ class ResourceLimitError(Exception):
 
 # --- Rule applications --------------------------------------------------
 
-# A derivation: every clause of a rule's result, with the clauses of the
-# member it comes from (none for a clause kept as it is).
-Derivation = Iterator[tuple[Clause, tuple[Clause, ...]]]
+Step = tuple[str, int, Clause, Optional[Literal]]  # a step's RuleApplication fields
 
-
-def _derive_a1(f: ClauseSet, cl: Clause, lit: Literal, plus: bool) -> Derivation:
-    """A1, or A1+ when ``plus``, picking ``lit`` in clause ``cl`` of
-    ``f``.  The unit ``{lit}`` comes from ``cl``; under A1+ it also
-    replaces every other clause holding ``lit``, and a clause holding
-    its complement loses it and comes from itself and ``cl``."""
-    unit = Clause((lit,))
-    comp = complement(lit) if plus else None
-    for c in f.clauses:
-        if c is cl or (plus and lit in c.literals):
-            yield unit, (cl,)
-        elif plus and comp in c.literals:
-            yield c.without(comp), (c, cl)
-        else:
-            yield c, ()
+# What a step changes in its member: the clauses of the member that the
+# rewritten member lacks, and each clause it has that the member lacks,
+# with the clauses of the member it comes from.
+Change = tuple[list[Clause], dict[Clause, tuple[Clause, ...]]]
 
 
 def _merged(c: Clause, univ: ForallLit) -> Clause:
@@ -206,44 +194,72 @@ def _merged(c: Clause, univ: ForallLit) -> Clause:
     )
 
 
-def _derive_a2(f: ClauseSet, univ: ForallLit, premise: Clause) -> Derivation:
-    """A2 (and A2+) consuming ``univ`` from ``premise``, a clause of
-    ``f`` holding it.  The clauses holding it go; a clause whose
-    existentials of its role take its body comes from itself and
-    ``premise``."""
-    for c in f.clauses:
-        if univ not in c.literals:
-            merged = _merged(c, univ)
-            yield merged, (() if merged is c else (c, premise))
+def _change(f: ClauseSet, step: Step) -> Change:
+    """``(out, into)``: what ``step``, an alternative of a plan on member
+    ``f``, changes in ``f``.  ``out`` lists the clauses of ``f`` the
+    rewritten member lacks, and ``into`` maps each clause it has and
+    ``f`` lacks to the clauses of ``f`` it comes from (those of its
+    first derivation in ``f``'s order, when several clauses yield it).
+    This is the one place each member rule's transformation is written.
 
-
-Step = tuple[str, int, Clause, Optional[Literal]]  # a step's RuleApplication fields
-
-
-def _derivation(f: ClauseSet, step: Step) -> Derivation:
-    """The derivation of an A1, A1+, A2 or A2+ ``step`` on its member
-    ``f``."""
+    A3 takes the peeled unit out.  A1 takes the target out and puts the
+    unit of its pick in, from the target.  A1+ also replaces every other
+    clause holding the pick by that unit, and takes the pick's
+    complement out of every clause holding it; such a clause comes from
+    itself and the target.  A2 and A2+ take the clauses holding the
+    universal out and merge its body into the existentials of its role
+    in every other clause; such a clause comes from itself and the
+    clause holding the universal."""
     rule, _, target, lit = step
-    if rule == RULE_A1 or rule == RULE_A1_PLUS:
-        return _derive_a1(f, target, lit, rule == RULE_A1_PLUS)
-    return _derive_a2(f, lit, target)
+    if rule == RULE_A3:
+        return [target], {}
+    if rule == RULE_A1:
+        unit = Clause((lit,))
+        return [target], ({} if unit in f else {unit: (target,)})
+    out: list[Clause] = []
+    into: dict[Clause, tuple[Clause, ...]] = {}
+    if rule == RULE_A1_PLUS:
+        unit = Clause((lit,))
+        comp = complement(lit)
+        for c in f.clauses:
+            if c is target or lit in c.literals:
+                new, sources = unit, (target,)
+            elif comp in c.literals:
+                new, sources = c.without(comp), (c, target)
+            else:
+                continue
+            if new is not c:
+                out.append(c)
+                into.setdefault(new, sources)
+    else:
+        for c in f.clauses:
+            if lit in c.literals:
+                out.append(c)
+            else:
+                new = _merged(c, lit)
+                if new is not c:
+                    out.append(c)
+                    into.setdefault(new, (c, target))
+    # A clause the step yields that ``f`` holds is kept, not put in.  It
+    # is never one the step takes out: the step would keep each clause
+    # it yields, were it in ``f``.
+    return out, {c: sources for c, sources in into.items() if c not in f}
 
 
-def _apply_planned(fam: Family, step: Step) -> Family:
+def _apply_planned(fam: Family, step: Step) -> tuple[Family, Change]:
     """The family ``step`` makes of ``fam``, where ``step`` is an
-    alternative of ``fam``'s plan: ``_plan`` has decided that it
-    applies, so this checks nothing.  An A1 member is the member with
-    the target replaced by the unit, spliced into its sorted clauses; an
-    A1+, A2 or A2+ member is its derivation, sorted.  A3 peels the
-    target's existential off into a new member."""
-    rule, i, target, lit = step
+    alternative of ``fam``'s plan, and the step's change of its member:
+    ``_plan`` has decided that it applies, so this checks nothing.  The
+    rewritten member is its sorted parent edited by the change; A3 also
+    appends the peeled existential's body as a new member."""
+    rule, i, target, _ = step
     f = fam.members[i]
+    change = _change(f, step)
+    child = fam.replace_member(i, f.edit(*change))
     if rule == RULE_A3:
         ex = target.literals[0]
-        return fam.replace_member(i, f.without(target)).append_member(i, ex.role, ex.body)
-    if rule == RULE_A1:
-        return fam.replace_member(i, f.replace(target, Clause((lit,))))
-    return fam.replace_member(i, ClauseSet([c for c, _ in _derivation(f, step)]))
+        child = child.append_member(i, ex.role, ex.body)
+    return child, change
 
 
 # --- Clash ---------------------------------------------------------------
@@ -414,33 +430,25 @@ def family_measure(fam: Family, depth_bound: int) -> tuple:
     return tuple(strata)
 
 
-def _measure_after(measure: tuple, depth_bound: int, fam: Family, child: Family, step: Step) -> tuple:
-    """``family_measure(child, depth_bound)``, the family ``step`` makes
-    of ``fam``, moved from ``measure``, ``fam``'s, by what the step
-    changes.  Its member's stratum loses the rows of the clauses the
-    step took out and gains those of the clauses it put in; a member
-    whose depth changed moves its whole row instead.  A3's new member
-    adds its whole row."""
-    rule, i, target, lit = step
+def _measure_after(
+    measure: tuple, depth_bound: int, fam: Family, child: Family, i: int, change: Change
+) -> tuple:
+    """``family_measure(child, depth_bound)``, where ``child`` is the
+    family a step on member ``i`` of ``fam`` makes with ``change``,
+    moved from ``measure``, ``fam``'s.  The member's stratum loses the
+    rows of the clauses the change takes out and gains those of the
+    clauses it puts in; a member whose depth changed moves its whole row
+    instead.  A member the step appends (A3's) adds its whole row."""
     old, new = fam.members[i], child.members[i]
     strata = list(measure)
     if old.depth != new.depth:
         _add_row(strata, depth_bound - old.depth, old.clauses, -1)
         _add_row(strata, depth_bound - new.depth, new.clauses)
     else:
-        if rule == RULE_A1 or rule == RULE_A3:
-            # The target goes; A1's unit comes, unless the member held it
-            # (then the member has one clause fewer, as after A3).
-            removed: Iterable[Clause] = (target,)
-            added: Iterable[Clause] = (Clause((lit,)),) if len(new) == len(old) else ()
-        else:
-            removed = set(old.clauses).difference(new.clauses)
-            added = set(new.clauses).difference(old.clauses)
         k = depth_bound - new.depth
-        _add_row(strata, k, removed, -1)
-        _add_row(strata, k, added)
-    if rule == RULE_A3:
-        appended = child.members[-1]
+        _add_row(strata, k, change[0], -1)
+        _add_row(strata, k, change[1])
+    for appended in child.members[len(fam.members):]:
         _add_row(strata, depth_bound - appended.depth, appended.clauses)
     return tuple(strata)
 
@@ -485,32 +493,28 @@ def _plan(fam: Family, strategy: Strategy) -> Optional[list[Step]]:
 _NO_DEPS: Mapping[Clause, int] = MappingProxyType({})
 
 
-def _child_deps(fam: Family, deps: tuple, step: Step, pick: int) -> tuple:
-    """Dependency maps of the family ``step`` makes from ``fam``, whose
-    maps are ``deps``; ``pick`` is the bit of ``fam``'s choice point, 0
-    when its step is forced.  Read off the rule's derivation: each
-    clause an A1/A1+/A2/A2+ step adds to its member gets ``pick`` and
-    the sets of the clauses it comes from (those of its first
-    derivation, when several clauses yield it); a clause the member
-    already holds keeps its own.  Only a map that gains entries is
-    copied."""
+def _child_deps(deps: tuple, step: Step, change: Change, pick: int) -> tuple:
+    """Dependency maps of the family ``step`` makes with ``change`` from
+    a family whose maps are ``deps``; ``pick`` is the bit of that
+    family's choice point, 0 when its step is forced.  Read off the
+    change: each clause an A1/A1+/A2/A2+ step puts into its member gets
+    ``pick`` and the sets of the clauses it comes from; a clause the
+    member already holds keeps its own.  Only a map that gains entries
+    is copied."""
     rule, member, target, _ = step
     old = deps[member]
     if rule == RULE_A3:
         peeled = old.get(target, 0)
         body = target.literals[0].body
         return deps + ((dict.fromkeys(body.clauses, peeled) if peeled else _NO_DEPS),)
-    if not (pick or old):
-        return deps  # a forced step among empty sets adds none
-    f = fam.members[member]
+    into = change[1]
+    if not (into and (pick or old)):
+        return deps  # no clause put in, or a forced step among empty sets
     fresh: dict[Clause, int] = {}
-    for c, sources in _derivation(f, step):
-        if sources and c not in fresh and c not in f:
-            fresh[c] = pick
-            for s in sources:
-                fresh[c] |= old.get(s, 0)
-    if not fresh:
-        return deps
+    for c, sources in into.items():
+        fresh[c] = pick
+        for s in sources:
+            fresh[c] |= old.get(s, 0)
     return deps[:member] + ({**old, **fresh},) + deps[member + 1:]
 
 
@@ -544,11 +548,11 @@ def decide_sat(
     # The search keeps its own stack, one entry per node on the current
     # path that has a plan: [node id, family, depth, measure, dependency
     # maps (None until computed), plan, index of the next alternative,
-    # bit, accumulated set].  A derivation can be thousands of steps
-    # long.  Each entry's node is the child of the entry below by that
-    # entry's latest step.  The entry at stack position p has bit 1 << p
-    # when its plan has several alternatives (a choice point), and 0
-    # when its one step is forced.
+    # bit, accumulated set, change of the latest step].  A derivation can
+    # be thousands of steps long.  Each entry's node is the child of the
+    # entry below by that entry's latest step.  The entry at stack
+    # position p has bit 1 << p when its plan has several alternatives
+    # (a choice point), and 0 when its one step is forced.
     stack: list[list] = []
 
     def deps_at(level: int) -> tuple:
@@ -562,8 +566,8 @@ def decide_sat(
             i -= 1
         deps = stack[i][4]
         while i < level:
-            _, fam, _, _, _, plan, k, bit, _ = stack[i]
-            deps = _child_deps(fam, deps, plan[k - 1], bit)
+            _, _, _, _, _, plan, k, bit, _, change = stack[i]
+            deps = _child_deps(deps, plan[k - 1], change, bit)
             i += 1
             if i < len(stack):
                 stack[i][4] = deps
@@ -594,10 +598,10 @@ def decide_sat(
                 break
             bit = 1 << len(stack) if len(plan) > 1 else 0
             deps = None if stack else (_NO_DEPS,)
-            stack.append([node_id, fam, depth, measure, deps, plan, 0, bit, 0])
+            stack.append([node_id, fam, depth, measure, deps, plan, 0, bit, 0, None])
         while pending is None and stack:
             entry = stack[-1]
-            node_id, fam, depth, measure, _, plan, k, bit, acc = entry
+            node_id, fam, depth, measure, _, plan, k, bit, acc, _ = entry
             if conflict is not None:
                 if not conflict & bit:
                     # The failure does not depend on this point's pick,
@@ -619,19 +623,16 @@ def decide_sat(
                 continue
             entry[6] = k + 1
             step = plan[k]
-            child = _apply_planned(fam, step)
-            child_measure = _measure_after(measure, depth_bound, fam, child, step)
+            child, change = _apply_planned(fam, step)
+            entry[9] = change
+            child_measure = _measure_after(measure, depth_bound, fam, child, step[1], change)
             assert child_measure < measure, "termination measure failed to decrease"
             if len(tree.nodes) >= max_nodes:
                 raise ResourceLimitError(max_nodes, tree)
             child_id = len(tree.nodes)
             tree.nodes.append(child)
-            app = RuleApplication(*step)
-            tree.edges.append(TraceEdge(node_id, app, child_id))
-            if app.rule == RULE_A3:
-                child_changed = (app.member_index, len(child.members) - 1)
-            else:
-                child_changed = (app.member_index,)
+            tree.edges.append(TraceEdge(node_id, RuleApplication(*step), child_id))
+            child_changed = (step[1], *range(len(fam.members), len(child.members)))
             pending = (child_id, child, depth + 1, child_changed, child_measure)
     stats = DecisionStats(
         nodes_expanded=len(tree.nodes),
@@ -761,7 +762,7 @@ def _decode(trace: object) -> tuple[Verdict, dict[int, Optional[list[Step]]]]:
             raise _StepNotOffered(
                 f"edge {parent}->{child}: not a step the {strategy.value} scheduler offers"
             )
-        nodes.append(_apply_planned(nodes[parent], plan[k]))
+        nodes.append(_apply_planned(nodes[parent], plan[k])[0])
         tree.edges.append(TraceEdge(parent, RuleApplication(*plan[k]), child))
     sat = trace["verdict"] == "sat"
     return Verdict(sat, len(nodes) - 1 if sat else None, tree, stats, strategy), plans

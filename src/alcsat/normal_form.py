@@ -26,9 +26,9 @@ deduplicate and order elements by a fixed structural total order
 (positive name < negated name < existential < universal; within a kind
 lexicographically by name/role, then recursively by body).  Structural
 equality on these values is therefore set equality.  An edit that keeps
-a sorted tuple sorted, such as dropping elements or splicing one in at
-its ``bisect_left`` place (:meth:`ClauseSet.replace`), interns its
-result without sorting again.
+a sorted tuple sorted, such as dropping elements or inserting each new
+one at its place (:meth:`ClauseSet.edit`), interns its result without
+sorting again.
 
 Values are hash-consed: every literal, clause and clause set is built
 through one intern table, so two structurally equal values are the same
@@ -68,7 +68,7 @@ from __future__ import annotations
 
 import threading
 import weakref
-from bisect import bisect_left
+from bisect import insort
 from _weakref import _remove_dead_weakref
 from math import prod
 from operator import attrgetter
@@ -303,25 +303,17 @@ class ClauseSet(_Collection):
     def union(self, other: "ClauseSet") -> "ClauseSet":
         return ClauseSet(self.clauses + other.clauses)
 
-    def without(self, cl: Clause) -> "ClauseSet":
-        return _collection(ClauseSet, tuple(c for c in self.clauses if c is not cl))
-
-    def replace(self, cl: Clause, new: Clause) -> "ClauseSet":
-        """This set with its clause ``cl`` replaced by ``new``, which is
-        spliced into the sorted clauses at its place (``bisect_left``
-        over the keys), or dropped when the set already holds it."""
-        clauses = self.clauses
-        if new is cl:
-            return self
-        i = clauses.index(cl)
-        j = bisect_left(self.key, new.key)
-        if j < len(clauses) and clauses[j] is new:
-            items = clauses[:i] + clauses[i + 1:]
-        elif j <= i:
-            items = clauses[:j] + (new,) + clauses[j:i] + clauses[i + 1:]
-        else:
-            items = clauses[:i] + clauses[i + 1:j] + (new,) + clauses[j:]
-        return _collection(ClauseSet, items)
+    def edit(self, out: Iterable[Clause], into: Iterable[Clause]) -> "ClauseSet":
+        """This set with the clauses ``out``, which it holds, taken out
+        and the clauses ``into``, which it lacks, each put in at its
+        place in the sorted clauses: the result is sorted and free of
+        duplicates as it is built, so it is interned with no sort."""
+        clauses = list(self.clauses)
+        for c in out:
+            clauses.remove(c)
+        for c in into:
+            insort(clauses, c, key=_key)
+        return _collection(ClauseSet, tuple(clauses))
 
     def issubset(self, other: "ClauseSet") -> bool:
         return all(cl in other for cl in self.clauses)

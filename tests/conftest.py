@@ -218,7 +218,7 @@ def chronological_search(
         if plan is None:
             return node_id
         for step in plan:
-            nodes.append(_apply_planned(fam, step))
+            nodes.append(_apply_planned(fam, step)[0])
             witness = explore(len(nodes) - 1)
             if witness is not None:
                 return witness
@@ -523,6 +523,48 @@ def cnf_by_two_passes(c: Concept) -> ClauseSet:
     distributes.  ``to_cnf`` makes the same in one walk, and raises the
     same ClauseBudgetError."""
     return ClauseSet(_clauses_of_nnf(to_nnf(c)))
+
+
+def derivation(f: ClauseSet, step: tuple) -> Iterator[tuple[Clause, tuple[Clause, ...]]]:
+    """Every clause of the member an A1, A1+, A2, A2+ or A3 ``step``
+    makes of ``f``, clause by clause of ``f`` as the rules read, with
+    the clauses of ``f`` it comes from (none for a clause kept as it
+    is).  A1 collapses the target to the unit of its pick; A1+ also
+    collapses every clause holding the pick and strips its complement;
+    A2 and A2+ drop the clauses holding the universal and merge its body
+    into the existentials of its role; A3 drops the peeled unit."""
+    rule, _, target, lit = step
+    if rule == "A3":
+        for c in f.clauses:
+            if c is not target:
+                yield c, ()
+    elif rule in ("A1", "A1+"):
+        plus = rule == "A1+"
+        unit = Clause((lit,))
+        for c in f.clauses:
+            if c is target or (plus and lit in c.literals):
+                yield unit, (target,)
+            elif plus and complement(lit) in c.literals:
+                yield Clause(l for l in c.literals if l is not complement(lit)), (c, target)
+            else:
+                yield c, ()
+    else:
+        for c in f.clauses:
+            if lit not in c.literals:
+                merged = Clause(
+                    ExistsLit(l.role, ClauseSet(lit.body.clauses + l.body.clauses))
+                    if isinstance(l, ExistsLit) and l.role == lit.role
+                    else l
+                    for l in c.literals
+                )
+                yield merged, (() if merged is c else (c, target))
+
+
+def member_by_sorting(f: ClauseSet, step: tuple) -> ClauseSet:
+    """The member ``step`` makes of ``f``, built by sorting its
+    :func:`derivation` afresh; ``ClauseSet.edit`` builds the same value
+    from ``f``'s sorted clauses and the step's change."""
+    return ClauseSet([c for c, _ in derivation(f, step)])
 
 
 def successor_family(n: int) -> str:

@@ -574,9 +574,9 @@ def test_trace_replay_rejects_an_a2_step_on_a_universal_inside_a_clause(tmp_path
     root = Family((f,))
     steps = plan_with_a2_anywhere(root)
     assert [s[0] for s in steps] == ["A1", "A1", "A2"]
-    nodes = [root] + [_apply_planned(root, s) for s in steps]
+    nodes = [root] + [_apply_planned(root, s)[0] for s in steps]
     peel = _plan(nodes[3], Strategy.BASIC)[0]
-    nodes.append(_apply_planned(nodes[3], peel))
+    nodes.append(_apply_planned(nodes[3], peel)[0])
     tree = DerivationTree(
         nodes=nodes,
         edges=[TraceEdge(0, RuleApplication(*s), k) for k, s in enumerate(steps, 1)]

@@ -9,6 +9,7 @@ import random
 import pytest
 from hypothesis import given, settings
 
+from alcsat import normal_form
 from alcsat.clause_model import Family
 from alcsat.engine import (
     RULE_A1,
@@ -28,6 +29,7 @@ from alcsat.engine import (
     trace_to_json,
     witness_path,
     _apply_planned,
+    _change,
     _clash_deps,
     _clashes,
     _measure_after,
@@ -68,6 +70,8 @@ from conftest import (
     clashes_by_full_scan,
     concepts,
     cs,
+    derivation,
+    member_by_sorting,
     modal_3cnf,
     small_concepts,
     successor_family,
@@ -78,7 +82,7 @@ def _applied(rule: str, f: ClauseSet, target: Clause, lit) -> ClauseSet:
     """The member a ``rule`` step on clause ``target`` of ``f`` (picking
     or consuming ``lit``) makes, as the search builds it: member 0 of
     the family ``_apply_planned`` makes of ``f``'s own family."""
-    return _apply_planned(Family((f,)), (rule, 0, target, lit)).members[0]
+    return _apply_planned(Family((f,)), (rule, 0, target, lit))[0].members[0]
 
 
 # --- A1 -----------------------------------------------------------------
@@ -178,7 +182,7 @@ def test_a2_plus_equals_a2_whenever_both_apply(clash_corpus):
                 continue
             plus = _plan(fam, Strategy.PLUS)
             assert plus == [(RULE_A2_PLUS, i, target, lit)]
-            assert _apply_planned(fam, plus[0]) == _apply_planned(fam, basic[0])
+            assert _apply_planned(fam, plus[0])[0] == _apply_planned(fam, basic[0])[0]
             both += 1
     assert both > 100
 
@@ -188,14 +192,14 @@ def test_a2_plus_equals_a2_whenever_both_apply(clash_corpus):
 
 def test_a3_peels_merged_existential():
     fam = ANIMAL_BASIC_NODES[6]
-    out = _apply_planned(fam, (RULE_A3, 0, cl(EX_MERGED_LEG), None))
+    out = _apply_planned(fam, (RULE_A3, 0, cl(EX_MERGED_LEG), None))[0]
     assert out == ANIMAL_BASIC_NODES[7]
 
 
 def test_a3_lone_existential_leaves_empty_member():
     body = cs(cl(A))
     fam = Family((cs(cl(ExistsLit("R", body))),))
-    out = _apply_planned(fam, (RULE_A3, 0, cl(ExistsLit("R", body)), None))
+    out = _apply_planned(fam, (RULE_A3, 0, cl(ExistsLit("R", body)), None))[0]
     assert out.members == (EMPTY_CLAUSE_SET, body)
     assert out.edges[0].parent == 0
     assert out.edges[0].role == "R"
@@ -204,7 +208,7 @@ def test_a3_lone_existential_leaves_empty_member():
 
 def test_a3_second_peel_matches_accepting_branch():
     fam = ANIMAL_BASIC_NODES[9]
-    out = _apply_planned(fam, (RULE_A3, 0, cl(EX_MERGED_WING), None))
+    out = _apply_planned(fam, (RULE_A3, 0, cl(EX_MERGED_WING), None))[0]
     assert out == ANIMAL_BASIC_NODES[10]
 
 
@@ -515,10 +519,11 @@ def test_delta_measure_equals_the_full_measure_at_every_node(clash_corpus):
         bound = nodes[0].members[0].depth
         measures = {0: family_measure(nodes[0], bound)}
         for parent, app, child in verdict.tree.edges:
-            measure = _measure_after(measures[parent], bound, nodes[parent], nodes[child], app)
+            i, fam = app.member_index, nodes[parent]
+            change = _change(fam.members[i], app)
+            measure = _measure_after(measures[parent], bound, fam, nodes[child], i, change)
             assert measure == family_measure(nodes[child], bound)
             measures[child] = measure
-            i = app.member_index
             depth_changes += nodes[parent].members[i].depth != nodes[child].members[i].depth
         assert len(measures) == len(nodes)
     assert depth_changes > 0
@@ -529,32 +534,47 @@ def test_delta_measure_moves_a_member_whose_depth_changes():
     c, r = Pos("C"), ExistsLit("R", cs(cl(B)))
     fam = Family((cs(cl(A, r), cl(c)),))
     step = (RULE_A1, 0, cl(A, r), A)
-    child = _apply_planned(fam, step)
+    child, change = _apply_planned(fam, step)
     assert child.members[0] is cs(cl(A), cl(c))
     assert family_measure(child, 1) == ((0, 0, 0), (0, 0, 0))
-    assert _measure_after(family_measure(fam, 1), 1, fam, child, step) == ((0, 0, 0), (0, 0, 0))
+    measure = _measure_after(family_measure(fam, 1), 1, fam, child, 0, change)
+    assert measure == ((0, 0, 0), (0, 0, 0))
     # A3 peeling the only existential moves the member and adds the body.
     fam = Family((cs(cl(A), cl(r)),))
     step = (RULE_A3, 0, cl(r), None)
-    child = _apply_planned(fam, step)
-    assert _measure_after(family_measure(fam, 1), 1, fam, child, step) == family_measure(child, 1)
+    child, change = _apply_planned(fam, step)
+    measure = _measure_after(family_measure(fam, 1), 1, fam, child, 0, change)
+    assert measure == family_measure(child, 1)
 
 
-def test_every_spliced_a1_child_is_the_sorted_construction(clash_corpus):
-    # An A1 child spliced from its sorted parent is the clause set built
-    # by sorting its clauses afresh, at every A1 edge of the corpus.
-    a1_edges = 0
+def _check_change(f: ClauseSet, step: tuple, member: ClauseSet) -> None:
+    """``member``, the member ``step`` made of ``f`` by editing it with
+    the step's change, is the one sorting the rule's derivation builds;
+    the change takes out what ``f`` loses and puts in what ``member``
+    gains, each from the clauses of its first derivation."""
+    assert member is member_by_sorting(f, step)
+    out, into = _change(f, step)
+    assert len(set(out)) == len(out)
+    assert set(out) == set(f.clauses) - set(member.clauses)
+    assert set(into) == set(member.clauses) - set(f.clauses)
+    first: dict = {}
+    for c, sources in derivation(f, step):
+        first.setdefault(c, sources)
+    assert into == {c: first[c] for c in into}
+
+
+def test_every_member_step_is_the_sorted_construction(clash_corpus):
+    # At every edge of the corpus, the search runs and the animal
+    # goldens, the member edited from its sorted parent is the clause set
+    # built by sorting the rule's derivation afresh.
+    steps = {rule: 0 for rule in (RULE_A1, RULE_A1_PLUS, RULE_A2, RULE_A2_PLUS, RULE_A3)}
     for verdict in _corpus(clash_corpus):
         nodes = verdict.tree.nodes
         for parent, app, child in verdict.tree.edges:
-            if app.rule != RULE_A1:
-                continue
-            f = nodes[parent].members[app.member_index]
-            target, lit = app.target_clause, app.chosen_literal
-            sorted_child = ClauseSet([c for c in f.clauses if c is not target] + [Clause((lit,))])
-            assert nodes[child].members[app.member_index] is sorted_child
-            a1_edges += 1
-    assert a1_edges > 1000
+            i = app.member_index
+            _check_change(nodes[parent].members[i], app, nodes[child].members[i])
+            steps[app.rule] += 1
+    assert min(steps.values()) > 100 and steps[RULE_A1] > 1000
 
 
 @pytest.mark.parametrize(
@@ -567,8 +587,53 @@ def test_every_spliced_a1_child_is_the_sorted_construction(clash_corpus):
     ],
 )
 def test_a1_splice_equals_the_sorted_construction(f, target, lit):
-    spliced = _applied(RULE_A1, f, target, lit)
-    assert spliced is ClauseSet([c for c in f.clauses if c is not target] + [Clause((lit,))])
+    _check_change(f, (RULE_A1, 0, target, lit), _applied(RULE_A1, f, target, lit))
+
+
+C, D = Pos("C"), Pos("D")
+EX_R_A, FA_R_B = ExistsLit("R", cs(cl(A))), ForallLit("R", cs(cl(B)))
+
+
+@pytest.mark.parametrize(
+    "f, step",
+    [
+        (cs(cl(A, B), cl(A, C)), (RULE_A1_PLUS, 0, cl(A, B), A)),  # two holders, one unit
+        (cs(cl(A), cl(A, B), cl(NA, C)), (RULE_A1_PLUS, 0, cl(A, B), A)),  # unit held, one stripped
+        (cs(cl(A, B), cl(NA, C), cl(C)), (RULE_A1_PLUS, 0, cl(A, B), A)),  # stripped to one held
+        (cs(cl(A, B), cl(NA)), (RULE_A1_PLUS, 0, cl(A, B), A)),  # stripped to the empty clause
+        (cs(cl(FA_R_B), cl(EX_R_A), cl(FA_R_B, C)), (RULE_A2, 0, cl(FA_R_B), FA_R_B)),
+        (cs(cl(FA_R_B, C), cl(EX_R_A, D)), (RULE_A2, 0, cl(FA_R_B, C), FA_R_B)),  # in a clause
+        (
+            cs(cl(FA_R_B), cl(EX_R_A), cl(ExistsLit("R", cs(cl(A), cl(B))))),
+            (RULE_A2_PLUS, 0, cl(FA_R_B), FA_R_B),  # merged into a held clause
+        ),
+        (cs(cl(A), cl(FA_R_B)), (RULE_A2_PLUS, 0, cl(FA_R_B), FA_R_B)),  # no existential
+        (cs(cl(A), cl(EX_R_A)), (RULE_A3, 0, cl(EX_R_A), None)),
+    ],
+)
+def test_member_edit_equals_the_sorted_construction(f, step):
+    rule, _, target, lit = step
+    _check_change(f, step, _applied(rule, f, target, lit))
+
+
+def test_no_search_step_sorts_a_member(monkeypatch):
+    # Every member a step makes is its parent edited in place, so no
+    # search step sorts one: the only sorts of two or more items would be
+    # those of merged bodies, and this input has no quantifier.
+    f = to_cnf(parse_concept(" & ".join(f"(A{i} | B{i})" for i in range(300))))
+    sorted_sizes = []
+    canonical = normal_form._canonical
+
+    def counted(items):
+        items = tuple(items)
+        if len(items) >= 2:
+            sorted_sizes.append(len(items))
+        return canonical(items)
+
+    monkeypatch.setattr(normal_form, "_canonical", counted)
+    for strategy in Strategy:
+        assert decide_sat(f, strategy).satisfiable
+    assert sorted_sizes == []
 
 
 @settings(max_examples=40, deadline=None)
@@ -586,7 +651,7 @@ def test_sat_reproducible_from_any_ancestor(c):
         for start in range(len(path)):
             fam = path[start][0]
             for _, app in path[start + 1 :]:
-                fam = _apply_planned(fam, app)
+                fam = _apply_planned(fam, app)[0]
             assert fam == verdict.witness_family
             assert _plan(fam, strategy) is None
             assert not any(is_clash(m) for m in fam.members)

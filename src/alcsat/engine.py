@@ -220,11 +220,18 @@ def _change(f: ClauseSet, step: Step) -> Change:
     into: dict[Clause, tuple[Clause, ...]] = {}
     if rule == RULE_A1_PLUS:
         unit = Clause((lit,))
-        comp = complement(lit)
+        # As in the clash check, a quantified pick's complement is taken
+        # only when some literal of ``f`` has its kind and role.
+        key = complement_key(lit)
+        comp = None
+        if type(lit) is Pos or type(lit) is Neg or any(
+            l.key[:2] == key for c in f.clauses for l in c.literals
+        ):
+            comp = complement(lit)
         for c in f.clauses:
             if c is target or lit in c.literals:
                 new, sources = unit, (target,)
-            elif comp in c.literals:
+            elif comp is not None and comp in c.literals:
                 new, sources = c.without(comp), (c, target)
             else:
                 continue
@@ -546,13 +553,14 @@ def decide_sat(
     backjumps = 0
     witness: Optional[int] = None
     # The search keeps its own stack, one entry per node on the current
-    # path that has a plan: [node id, family, depth, measure, dependency
-    # maps (None until computed), plan, index of the next alternative,
-    # bit, accumulated set, change of the latest step].  A derivation can
-    # be thousands of steps long.  Each entry's node is the child of the
-    # entry below by that entry's latest step.  The entry at stack
-    # position p has bit 1 << p when its plan has several alternatives
-    # (a choice point), and 0 when its one step is forced.
+    # path that has a plan: [node id, family, measure, dependency maps
+    # (None until computed), plan, index of the next alternative, bit,
+    # accumulated set, change of the latest step].  A derivation can be
+    # thousands of steps long.  Each entry's node is the child of the
+    # entry below by that entry's latest step, so the node being visited
+    # is at depth ``len(stack)``.  The entry at stack position p has bit
+    # 1 << p when its plan has several alternatives (a choice point), and
+    # 0 when its one step is forced.
     stack: list[list] = []
 
     def deps_at(level: int) -> tuple:
@@ -562,28 +570,28 @@ def decide_sat(
         failure needs them, down from the newest level that has them, so
         a path that never fails costs nothing."""
         i = min(level, len(stack) - 1)
-        while stack[i][4] is None:
+        while stack[i][3] is None:
             i -= 1
-        deps = stack[i][4]
+        deps = stack[i][3]
         while i < level:
-            _, _, _, _, _, plan, k, bit, _, change = stack[i]
+            _, _, _, _, plan, k, bit, _, change = stack[i]
             deps = _child_deps(deps, plan[k - 1], change, bit)
             i += 1
             if i < len(stack):
-                stack[i][4] = deps
+                stack[i][3] = deps
         return deps
 
     # ``changed``: the members the step into this node rewrote or
     # appended.  The parent was clash-free and every other member is the
     # parent's own value, so only these can clash.
-    pending: Optional[tuple] = (0, root, 0, (0,), family_measure(root, depth_bound))
+    pending: Optional[tuple] = (0, root, (0,), family_measure(root, depth_bound))
     # The dependency set of the failure being passed up, or None while
     # the search goes down.
     conflict: Optional[int] = None
     while pending is not None:
-        node_id, fam, depth, changed, measure = pending
+        node_id, fam, changed, measure = pending
         pending = None
-        max_depth_seen = max(max_depth_seen, depth)
+        max_depth_seen = max(max_depth_seen, len(stack))
         members = fam.members
         for i in changed:
             if is_clash(members[i]):
@@ -598,10 +606,10 @@ def decide_sat(
                 break
             bit = 1 << len(stack) if len(plan) > 1 else 0
             deps = None if stack else (_NO_DEPS,)
-            stack.append([node_id, fam, depth, measure, deps, plan, 0, bit, 0, None])
+            stack.append([node_id, fam, measure, deps, plan, 0, bit, 0, None])
         while pending is None and stack:
             entry = stack[-1]
-            node_id, fam, depth, measure, _, plan, k, bit, acc, _ = entry
+            node_id, fam, measure, _, plan, k, bit, acc, _ = entry
             if conflict is not None:
                 if not conflict & bit:
                     # The failure does not depend on this point's pick,
@@ -610,7 +618,7 @@ def decide_sat(
                         backjumps += 1
                     stack.pop()
                     continue
-                entry[8] = acc = acc | (conflict ^ bit)
+                entry[7] = acc = acc | (conflict ^ bit)
                 conflict = None
             if k == len(plan):
                 # Every alternative failed: because of the picks behind
@@ -621,10 +629,10 @@ def decide_sat(
                 for _, member, target, _ in plan:
                     conflict |= deps[member].get(target, 0)
                 continue
-            entry[6] = k + 1
+            entry[5] = k + 1
             step = plan[k]
             child, change = _apply_planned(fam, step)
-            entry[9] = change
+            entry[8] = change
             child_measure = _measure_after(measure, depth_bound, fam, child, step[1], change)
             assert child_measure < measure, "termination measure failed to decrease"
             if len(tree.nodes) >= max_nodes:
@@ -633,7 +641,7 @@ def decide_sat(
             tree.nodes.append(child)
             tree.edges.append(TraceEdge(node_id, RuleApplication(*step), child_id))
             child_changed = (step[1], *range(len(fam.members), len(child.members)))
-            pending = (child_id, child, depth + 1, child_changed, child_measure)
+            pending = (child_id, child, child_changed, child_measure)
     stats = DecisionStats(
         nodes_expanded=len(tree.nodes),
         clashes=len(tree.clash_nodes),

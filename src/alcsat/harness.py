@@ -1,22 +1,22 @@
 """Random concept generation and differential testing.
 
-The driver generates concepts from a seeded configuration, converts each
-to clause-set form, and compares three independent verdicts: the
-reference concept tableau, the basic rule system, and the optimized one.
-Satisfiable runs are additionally checked for model soundness (the
-extracted interpretation must satisfy the original concept at the root
-individual).  Any failure is minimized by greedy subterm shrinking
-before it is reported.
-
-Trials are independent and deterministic per seed; the report aggregates
-expanded-node statistics per strategy and lists every disagreement
-(an empty list is the expected outcome).
+:func:`gen_concept` draws concepts from a seeded configuration.  One
+:func:`trial` compares three independent verdicts on a concept (the
+reference concept tableau, the basic rule system and the optimized
+one), then checks that the model of each satisfiable verdict satisfies
+the concept at the root individual, and shrinks any failure greedily,
+subterm by subterm, before it reports it.  :func:`run_differential`
+runs one trial per generated concept, deterministically per seed; its
+report aggregates expanded-node statistics per strategy and lists every
+disagreement (an empty list is the expected outcome).
 """
 
 from __future__ import annotations
 
 import random
-from typing import Iterator, Mapping, Optional, Sequence
+from bisect import bisect_right
+from itertools import accumulate
+from typing import Iterator, Mapping, Optional
 
 from alcsat.engine import Strategy, Verdict, decide_sat
 from alcsat.normal_form import to_cnf
@@ -89,7 +89,9 @@ class GenConfig(_Frozen):
         if num_roles < 0:
             raise ValueError("num_roles must not be negative")
         weights = {**DEFAULT_WEIGHTS, **dict(connective_weights or {})}
-        if all(w <= 0 for w in weights.values()):
+        if any(w < 0 for w in weights.values()):
+            raise ValueError("connective weights must not be negative")
+        if all(w == 0 for w in weights.values()):
             raise ValueError("connective weights must not all be zero")
         _set(self, "max_depth", max_depth)
         _set(self, "num_names", num_names)
@@ -110,58 +112,34 @@ class GenConfig(_Frozen):
         ]
 
 
-def _weighted_choice(rng: random.Random, options: list[tuple[str, float]]) -> str:
-    total = sum(w for _, w in options)
-    if total <= 0:
-        return options[0][0]
-    point = rng.random() * total
-    acc = 0.0
-    for kind, w in options:
-        acc += w
-        if point < acc:
-            return kind
-    return options[-1][0]
+# The kinds a generated node is drawn from: a leaf's, and an inner
+# node's, which adds the quantifiers when there are roles.
+_LEAF_KINDS = ("name", "not", "top", "bot")
+_NODE_KINDS = ("name", "top", "bot", "not", "and", "or")
+_QUANTIFIER_KINDS = ("exists", "forall")
 
 
 def gen_concept(cfg: GenConfig, rng: random.Random) -> Concept:
-    """One random concept respecting the configuration bounds."""
-    weights = cfg.connective_weights
+    """One random concept respecting the configuration bounds.
+
+    Each node takes one ``rng.random()`` for its kind (none when every
+    kind of its level weighs zero: it is the first) and one
+    ``rng.choice`` for each name or role it holds."""
     names = cfg.names()
     roles = cfg.roles()
 
-    def leaf() -> Concept:
-        kind = _weighted_choice(
-            rng,
-            [
-                ("name", weights["name"]),
-                ("not", weights["not"]),
-                ("top", weights["top"]),
-                ("bot", weights["bot"]),
-            ],
-        )
-        if kind == "name":
-            return Name(rng.choice(names))
-        if kind == "not":
-            return Not(Name(rng.choice(names)))
-        if kind == "top":
-            return Top()
-        return Bottom()
+    def drawer(kinds: tuple[str, ...]):
+        bounds = list(accumulate(cfg.connective_weights[k] for k in kinds))
+        total = bounds[-1]
+        if total <= 0:
+            return lambda: kinds[0]
+        return lambda: kinds[bisect_right(bounds, rng.random() * total)]
+
+    leaf = drawer(_LEAF_KINDS)
+    node = drawer(_NODE_KINDS + (_QUANTIFIER_KINDS if roles else ()))
 
     def build(budget: int) -> Concept:
-        if budget <= 1:
-            return leaf()
-        options = [
-            ("name", weights["name"]),
-            ("top", weights["top"]),
-            ("bot", weights["bot"]),
-            ("not", weights["not"]),
-            ("and", weights["and"]),
-            ("or", weights["or"]),
-        ]
-        if roles:
-            options.append(("exists", weights["exists"]))
-            options.append(("forall", weights["forall"]))
-        kind = _weighted_choice(rng, options)
+        kind = leaf() if budget <= 1 else node()
         if kind == "name":
             return Name(rng.choice(names))
         if kind == "top":
@@ -169,7 +147,7 @@ def gen_concept(cfg: GenConfig, rng: random.Random) -> Concept:
         if kind == "bot":
             return Bottom()
         if kind == "not":
-            return Not(build(budget - 1))
+            return Not(Name(rng.choice(names)) if budget <= 1 else build(budget - 1))
         if kind == "and":
             return And(build(budget - 1), build(budget - 1))
         if kind == "or":
@@ -255,13 +233,7 @@ class Disagreement(_Record):
         self.shrunk = shrunk
 
     def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "trial": self.trial,
-            "concept": self.concept,
-            "detail": self.detail,
-            "shrunk": self.shrunk,
-        }
+        return dict(zip(self.__slots__, self._values()))
 
 
 class NodeStats(_Record):
@@ -350,67 +322,42 @@ def _solve(c: Concept) -> tuple[Verdict, Verdict]:
     return decide_sat(f, Strategy.BASIC), decide_sat(f, Strategy.PLUS)
 
 
-def run_differential(
-    cfg: GenConfig, trials: int, include: Sequence[Concept] = ()
-) -> Report:
-    """Run ``trials`` generated concepts (after any injected ones) through
-    the oracle and both strategies; check model soundness on every
-    satisfiable verdict.
+def trial(concept: Concept, index: int = 0) -> tuple[TrialResult, Optional[Disagreement]]:
+    """One differential trial of ``concept``: the oracle's verdict and
+    one solve per strategy, compared, and then, when all three agree,
+    the model of each satisfiable verdict evaluated on ``concept`` at
+    the root individual.  Returns the trial's result, numbered
+    ``index``, and the first failure, if any, shrunk to a smaller
+    concept that fails the same check (solving again once per
+    candidate)."""
+    o = oracle_sat(concept)
+    bv, pv = _solve(concept)
+    nodes = bv.stats.nodes_expanded, pv.stats.nodes_expanded
+    result = TrialResult(index, concept, o, bv.satisfiable, pv.satisfiable, *nodes)
+    detail = _verdict_detail(o, bv, pv)
+    if detail is not None:
+        kind, fails = "verdict", lambda x: _verdict_detail(oracle_sat(x), *_solve(x)) is not None
+    else:
+        detail = _model_detail(concept, bv, pv)
+        if detail is None:
+            return result, None
+        kind, fails = "model", lambda x: _model_detail(x, *_solve(x)) is not None
+    shrunk = render_concept(shrink_concept(concept, fails))
+    return result, Disagreement(kind, index, render_concept(concept), detail, shrunk)
 
-    Each trial solves its concept once per strategy and once with the
-    oracle; only shrinking a failure solves again, once per candidate.
-    """
+
+def run_differential(cfg: GenConfig, trials: int) -> Report:
+    """Run :func:`trial` on ``trials`` concepts generated from ``cfg``
+    and collect the results, node statistics and disagreements."""
     if trials < 1:
         raise ValueError("trials must be at least 1")
     rng = random.Random(cfg.seed)
     report = Report(trials=trials, seed=cfg.seed)
     for index in range(trials):
-        if index < len(include):
-            concept = include[index]
-        else:
-            concept = gen_concept(cfg, rng)
-        o = oracle_sat(concept)
-        bv, pv = _solve(concept)
-        report.basic_nodes.add(bv.stats.nodes_expanded)
-        report.plus_nodes.add(pv.stats.nodes_expanded)
-        report.trial_log.append(
-            TrialResult(
-                index,
-                concept,
-                o,
-                bv.satisfiable,
-                pv.satisfiable,
-                bv.stats.nodes_expanded,
-                pv.stats.nodes_expanded,
-            )
-        )
-        detail = _verdict_detail(o, bv, pv)
-        if detail is not None:
-            shrunk = shrink_concept(
-                concept, lambda x: _verdict_detail(oracle_sat(x), *_solve(x)) is not None
-            )
-            report.disagreements.append(
-                Disagreement(
-                    "verdict",
-                    index,
-                    render_concept(concept),
-                    detail,
-                    render_concept(shrunk),
-                )
-            )
-            continue
-        detail = _model_detail(concept, bv, pv)
-        if detail is not None:
-            shrunk = shrink_concept(
-                concept, lambda x: _model_detail(x, *_solve(x)) is not None
-            )
-            report.disagreements.append(
-                Disagreement(
-                    "model",
-                    index,
-                    render_concept(concept),
-                    detail,
-                    render_concept(shrunk),
-                )
-            )
+        result, disagreement = trial(gen_concept(cfg, rng), index)
+        report.basic_nodes.add(result.basic_nodes)
+        report.plus_nodes.add(result.plus_nodes)
+        report.trial_log.append(result)
+        if disagreement is not None:
+            report.disagreements.append(disagreement)
     return report

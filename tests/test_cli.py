@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from alcsat import engine
+from alcsat import cli, engine
 from alcsat.cli import main
 from alcsat.clause_model import Family
 from alcsat.engine import (
@@ -138,6 +138,17 @@ def test_check_takes_no_complement_a_clash_cannot_use(capsys):
     assert capsys.readouterr() == ("SAT\n", "")
 
 
+def test_check_a1_plus_takes_no_complement_nothing_can_match(capsys):
+    # A1+ picks the existential of (C | exists R.(...)) once C clashes;
+    # no literal of the member is a universal of R, so no clause holds
+    # its complement, 2^14 clauses and over the budget, and it is never
+    # taken.
+    body = " & ".join(f"(A{i} | B{i})" for i in range(14))
+    for strategy in ("basic", "plus"):
+        assert main(["check", "--oracle", "--strategy", strategy, f"(C | exists R.({body})) & !C"]) == 0
+        assert capsys.readouterr() == ("SAT\n", "")
+
+
 def test_check_node_budget_below_one_is_an_input_error(capsys):
     for budget in ("0", "-5"):
         assert main(["check", "--max-nodes", budget, "A"]) == 2
@@ -214,6 +225,18 @@ def test_check_model_output(capsys):
 
 def test_check_oracle_agreement(capsys):
     assert main(["check", "--oracle", "exists R.(A & !A)"]) == 1
+
+
+def test_check_oracle_disagreement_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "oracle_sat", lambda concept: False)
+    assert main(["check", "--oracle", "A"]) == 3
+    assert capsys.readouterr() == ("SAT\n", "oracle disagrees with the engine\n")
+
+
+def test_check_trace_into_a_directory_exits_2(tmp_path, capsys):
+    assert main(["check", "--trace", str(tmp_path), "A"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "SAT\n" and err.startswith("cannot write trace: ") and err.count("\n") == 1
 
 
 def test_check_resource_limit_exit_4(capsys):
@@ -443,6 +466,44 @@ def test_trace_replay_rejects_an_unknown_tag(tmp_path, capsys):
         return trace
 
     assert "unknown tag 'not'" in _replay_malformed(tmp_path, capsys, retag)
+
+
+def test_trace_replay_rejects_a_malformed_value_table(tmp_path, capsys):
+    def table(value):
+        def change(trace):
+            trace["values"] = value
+            return trace
+
+        return change
+
+    def clause_entry(value):
+        def change(trace):
+            trace["values"][_entry_index(trace, "clause")] = value
+            return trace
+
+        return change
+
+    for change, message in (
+        (table({}), "the value table is not an array"),
+        (clause_entry("clause"), "an entry is a non-empty array"),
+        (clause_entry([]), "an entry is a non-empty array"),
+        (clause_entry(["clause", [0], [0]]), "a clause entry is ['clause', [index, ...]]"),
+        (clause_entry(["clause", 0]), "0 is not an array of indices"),
+    ):
+        assert message in _replay_malformed(tmp_path, capsys, change)
+
+
+def test_trace_replay_rejects_an_unknown_verdict_or_stats_that_are_not_integers(tmp_path, capsys):
+    def verdict(trace):
+        trace["verdict"] = "maybe"
+        return trace
+
+    def stats(trace):
+        trace["stats"]["clashes"] = "0"
+        return trace
+
+    assert "verdict 'maybe' is neither 'sat' nor 'unsat'" in _replay_malformed(tmp_path, capsys, verdict)
+    assert "are not all integers" in _replay_malformed(tmp_path, capsys, stats)
 
 
 def test_trace_replay_rejects_a_name_or_role_that_is_not_a_string(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -11,8 +12,10 @@ from alcsat.harness import (
     STRUCTURED_WEIGHTS,
     GenConfig,
     gen_concept,
+    Report,
     run_differential,
     shrink_concept,
+    trial,
 )
 from alcsat.oracle import oracle_sat
 from alcsat.syntax import (
@@ -26,8 +29,10 @@ from alcsat.syntax import (
     Or,
     Top,
     parse_concept,
+    render_concept,
 )
 from conftest import ANIMAL_TEXT
+from test_acceptance import BATCH_SEED
 
 
 def _depth(c: Concept) -> int:
@@ -94,14 +99,38 @@ def test_config_validation():
         GenConfig(num_roles=-1)
     with pytest.raises(ValueError):
         GenConfig(connective_weights={k: 0.0 for k in "name top bot not and or exists forall".split()})
+    with pytest.raises(ValueError, match="negative"):
+        GenConfig(connective_weights={"top": -1.0})
+
+
+# sha256 of the first 500 concepts each configuration generates,
+# rendered one a line: they pin the generator's draw stream.  The
+# acceptance batch, the clash corpus (tests/conftest.py), leaves only,
+# and leaf kinds that all weigh zero, so a leaf draws no kind.
+PINNED_STREAMS = [
+    (GenConfig(seed=BATCH_SEED), "0c8bed8e2735e388063a65bba41c9251cc965ab61af10e2e70cc0dd9f341ea0b"),
+    (
+        GenConfig(max_depth=5, connective_weights=STRUCTURED_WEIGHTS, seed=13),
+        "10f6deb0dfdaafa927e7c86c734870af142192e0415fd543f03b549afd86ba5a",
+    ),
+    (GenConfig(max_depth=1, num_roles=0), "288404ec60e1ac217b683bd5ce379720daa2e2c3ce2abf2ac208d43ba7ecc6a9"),
+    (
+        GenConfig(connective_weights=dict.fromkeys(("name", "not", "top", "bot"), 0.0)),
+        "bc65b1ffa566bfe26f98bdbcb323031ae7f158f82a883159d79e707f35ee4769",
+    ),
+]
+
+
+@pytest.mark.parametrize("cfg, digest", PINNED_STREAMS)
+def test_generator_stream_is_pinned(cfg, digest):
+    rng = random.Random(cfg.seed)
+    text = "\n".join(render_concept(gen_concept(cfg, rng)) for _ in range(500))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_run_differential_contradiction_trial():
-    report = run_differential(
-        GenConfig(seed=0), trials=1, include=[And(Name("A"), Not(Name("A")))]
-    )
-    assert report.ok
-    log = report.trial_log[0]
+    log, disagreement = trial(And(Name("A"), Not(Name("A"))))
+    assert disagreement is None
     assert (log.oracle, log.basic, log.plus) == (False, False, False)
     assert log.basic_nodes == log.plus_nodes == 1
 
@@ -109,9 +138,9 @@ def test_run_differential_contradiction_trial():
 def test_run_differential_checks_the_model_of_a_long_chain():
     # The model check evaluates the 3,000-term chain at the root.
     chain = parse_concept(" & ".join(f"A{i}" for i in range(3000)))
-    report = run_differential(GenConfig(), 1, include=[chain])
-    assert report.ok
-    assert report.trial_log[0].plus
+    log, disagreement = trial(chain)
+    assert disagreement is None
+    assert log.plus
 
 
 def test_run_differential_batch_is_clean():
@@ -127,11 +156,8 @@ def test_run_differential_rejects_zero_trials():
 
 
 def test_injected_animal_trial_node_counts():
-    report = run_differential(
-        GenConfig(seed=1), trials=1, include=[parse_concept(ANIMAL_TEXT)]
-    )
-    assert report.ok
-    log = report.trial_log[0]
+    log, disagreement = trial(parse_concept(ANIMAL_TEXT))
+    assert disagreement is None
     assert log.basic_nodes == 11
     assert log.plus_nodes == 8
 
@@ -189,14 +215,43 @@ def test_one_solve_per_strategy_and_one_oracle_call_per_trial(monkeypatch):
 
     monkeypatch.setattr(harness, "decide_sat", counted("decide", harness.decide_sat))
     monkeypatch.setattr(harness, "oracle_sat", counted("oracle", harness.oracle_sat))
-    report = run_differential(GenConfig(seed=5), 1, include=[parse_concept(ANIMAL_TEXT)])
-    assert report.ok
-    assert report.trial_log[0].oracle and report.trial_log[0].basic_nodes == 11
+    log, disagreement = trial(parse_concept(ANIMAL_TEXT))
+    assert disagreement is None
+    assert log.oracle and log.basic_nodes == 11
     assert calls == {"decide": 2, "oracle": 1}
 
 
 def test_disagreement_is_shrunk_by_solving_again(monkeypatch):
     monkeypatch.setattr(harness, "oracle_sat", lambda c: False)
-    report = run_differential(GenConfig(seed=5), 1, include=[parse_concept("A & exists R.B")])
-    [d] = report.disagreements
+    _, d = trial(parse_concept("A & exists R.B"))
     assert (d.kind, d.detail, d.shrunk) == ("verdict", "oracle=False basic=True plus=True", "top")
+
+
+def test_shrinking_walks_every_connective(monkeypatch):
+    # The oracle errs on concepts with a negation, an existential and a
+    # disjunction, which neither ``top`` nor ``bot`` has, so the shrinker
+    # goes into the subterms under ``!``, ``&``, ``|`` and ``exists``.
+    def erring(c: Concept) -> bool:
+        text = render_concept(c)
+        return oracle_sat(c) != ("!" in text and "exists" in text and "|" in text)
+
+    monkeypatch.setattr(harness, "oracle_sat", erring)
+    _, d = trial(parse_concept("B & !(A | exists R.(C | !D))"), 3)
+    assert (d.kind, d.trial, d.detail) == ("verdict", 3, "oracle=False basic=True plus=True")
+    assert d.shrunk == "exists R.(top | !top)"
+
+
+def test_model_disagreement_is_shrunk_and_reported(monkeypatch):
+    monkeypatch.setattr(harness, "eval_concept", lambda c, interp, individual: False)
+    log, d = trial(parse_concept("A & exists R.B"), 4)
+    assert log.oracle and log.basic and log.plus
+    detail = "extracted basic model does not satisfy the concept"
+    assert (d.kind, d.detail, d.shrunk) == ("model", detail, "top")
+    report = Report(trials=5, seed=0, disagreements=[d])
+    assert report.to_json()["disagreements"] == [
+        {"kind": "model", "trial": 4, "concept": "A & exists R.B", "detail": detail, "shrunk": "top"}
+    ]
+    report = run_differential(GenConfig(seed=5), trials=3)
+    # Trials 1 and 2 are satisfiable, so their models are checked.
+    assert [t.plus for t in report.trial_log] == [False, True, True]
+    assert [(d.trial, d.kind) for d in report.disagreements] == [(1, "model"), (2, "model")]

@@ -58,6 +58,15 @@ def test_extracted_animal_tableaux_have_no_violations():
         assert check_tableau(t, ANIMAL_CNF, restricted=True) == []
 
 
+def test_a_root_without_the_clause_set_violates_condition_0():
+    f = cs(cl(Pos("A")))
+    labels = {0: frozenset({f, cl(Pos("A"))}), 1: frozenset()}
+    for root, expected in ((0, []), (1, [(0, (1,))])):
+        t = CnfTableau(individuals=frozenset({0, 1}), labels=labels, role_edges={}, root=root)
+        violations = check_tableau(t, f, restricted=False)
+        assert [(v.condition, v.individuals) for v in violations] == expected
+
+
 def test_complementary_units_violate_condition_1():
     f = cs(cl(Pos("A")))
     t = _tableau({0: {f, cl(Pos("A")), cl(Neg("A"))}})
